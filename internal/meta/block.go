@@ -15,14 +15,19 @@ import (
 
 // Column is one field's values across a block's rows: a presence bitset
 // and a dense array of the field's kind. Absent rows hold the zero
-// value and a clear presence bit.
+// value and a clear presence bit. Strings are dictionary-coded: a row
+// holds an index into dict, the column's distinct values, so a sweep
+// evaluates a leaf once per distinct string rather than once per row.
 type column struct {
 	kind    Kind
 	present []uint64
 	ints    []int64
 	flts    []float64
-	strs    []string
+	codes   []uint32 // KindString: index into dict
+	dict    []string
 	bools   []uint64 // value bitset for KindBool
+
+	dictIdx map[string]uint32 // dict's inverse, only while NewBlock builds
 
 	// idx maps an eq-comparable value key to the ascending rows holding
 	// it — the bitmap plan's posting lists. Built lazily under once so a
@@ -61,6 +66,9 @@ func NewBlock(rows []Map) *Block {
 	if cols == nil {
 		return nil
 	}
+	for _, c := range cols {
+		c.dictIdx = nil
+	}
 	return &Block{rows: len(rows), cols: cols}
 }
 
@@ -72,7 +80,8 @@ func newColumn(kind Kind, rows int) *column {
 	case KindFloat:
 		c.flts = make([]float64, rows)
 	case KindString:
-		c.strs = make([]string, rows)
+		c.codes = make([]uint32, rows)
+		c.dictIdx = make(map[string]uint32)
 	case KindBool:
 		c.bools = make([]uint64, (rows+63)/64)
 	}
@@ -87,7 +96,13 @@ func (c *column) set(row int, v Value) {
 	case KindFloat:
 		c.flts[row] = v.Flt
 	case KindString:
-		c.strs[row] = v.Str
+		code, ok := c.dictIdx[v.Str]
+		if !ok {
+			code = uint32(len(c.dict))
+			c.dict = append(c.dict, v.Str)
+			c.dictIdx[v.Str] = code
+		}
+		c.codes[row] = code
 	case KindBool:
 		if v.Bool {
 			c.bools[row>>6] |= 1 << (uint(row) & 63)
@@ -106,7 +121,7 @@ func (c *column) value(row int) Value {
 	case KindFloat:
 		return FloatValue(c.flts[row])
 	case KindString:
-		return StringValue(c.strs[row])
+		return StringValue(c.dict[c.codes[row]])
 	case KindBool:
 		return BoolValue(c.bools[row>>6]>>(uint(row)&63)&1 != 0)
 	}
@@ -245,18 +260,156 @@ func (p *Predicate) EvalBlock(blk *Block, rows int, dst []uint64, plan Plan) Pla
 	return PlanInline
 }
 
-// evalInline sweeps rows 0..rows, evaluating the full conjunction per
-// row over the columns.
+// evalInline sweeps the block one leaf at a time: each leaf runs as a
+// loop over its typed column, clearing the bits of dst it rejects, so
+// dst ends as the AND across leaves. Only rows still set are examined,
+// so a selective first leaf shrinks the work of the rest. The result is
+// exactly Match on every row (TestSweepMatchesRowMatch pins it).
 func (p *Predicate) evalInline(rows int, cols []*column, dst []uint64) {
-rowLoop:
-	for row := 0; row < rows; row++ {
-		for i := range p.leaves {
-			if !leafMatchCol(&p.leaves[i], cols[i], row) {
-				continue rowLoop
+	setAll(dst, rows)
+	for i := range p.leaves {
+		sweepLeaf(&p.leaves[i], cols[i], dst)
+	}
+}
+
+// sweepLeaf clears from dst the rows where leaf l does not hold. Bits of
+// dst past the block's rows are zero and stay zero.
+func sweepLeaf(l *leaf, c *column, dst []uint64) {
+	switch {
+	case c == nil:
+		// The field is absent from every row: the leaf is a constant.
+		if !l.match(Value{}, false) {
+			clear(dst)
+		}
+	case l.op == opExists:
+		for w := range dst {
+			if l.want {
+				dst[w] &= c.present[w]
+			} else {
+				dst[w] &^= c.present[w]
 			}
 		}
-		dst[row>>6] |= 1 << (uint(row) & 63)
+	case c.kind != l.kind:
+		// The column's kind disagrees with the registry, which only a
+		// bundle whose kind table contradicts its rows can produce: keep
+		// the per-row Value semantics.
+		sweepRows(l, c, dst)
+	case c.kind == KindInt:
+		sweepCmp(c.ints, c.present, l.op, l.val.Int, setOf(l.set, func(v Value) int64 { return v.Int }), dst)
+	case c.kind == KindFloat:
+		sweepCmp(c.flts, c.present, l.op, l.val.Flt, setOf(l.set, func(v Value) float64 { return v.Flt }), dst)
+	case c.kind == KindString:
+		// One leaf evaluation per distinct value, then a table lookup
+		// per row.
+		holds := make([]bool, len(c.dict))
+		for code, s := range c.dict {
+			holds[code] = l.match(StringValue(s), true)
+		}
+		for w := range dst {
+			word := dst[w] & c.present[w]
+			keep := word
+			for ; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				if !holds[c.codes[w<<6+b]] {
+					keep &^= 1 << uint(b)
+				}
+			}
+			dst[w] = keep
+		}
+	case c.kind == KindBool && (l.op == opEq || l.op == opNe || l.op == opIn):
+		for w := range dst {
+			dst[w] &= c.present[w] & boolMatch(l, c.bools[w])
+		}
+	default:
+		sweepRows(l, c, dst)
 	}
+}
+
+// sweepCmp clears from dst every row that is absent or whose value v
+// fails the comparison against x — the formulas of leaf.match, with
+// Value.Equal as == and Value.Less as <, NaN behaviour included.
+func sweepCmp[E int64 | float64](vals []E, present []uint64, o op, x E, set []E, dst []uint64) {
+	for w := range dst {
+		word := dst[w] & present[w]
+		keep := word
+		base := w << 6
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			v := vals[base+b]
+			var ok bool
+			switch o {
+			case opEq:
+				ok = v == x
+			case opNe:
+				ok = v != x
+			case opLt:
+				ok = v < x
+			case opLe:
+				ok = !(x < v)
+			case opGt:
+				ok = x < v
+			case opGe:
+				ok = !(v < x)
+			case opIn:
+				for _, s := range set {
+					if v == s {
+						ok = true
+						break
+					}
+				}
+			}
+			if !ok {
+				keep &^= 1 << uint(b)
+			}
+		}
+		dst[w] = keep
+	}
+}
+
+// boolMatch returns, for one word of a bool column's value bits, the
+// bits where an eq, ne or in leaf holds (presence not applied).
+func boolMatch(l *leaf, vals uint64) uint64 {
+	is := func(b bool) uint64 {
+		if b {
+			return vals
+		}
+		return ^vals
+	}
+	switch l.op {
+	case opEq:
+		return is(l.val.Bool)
+	case opNe:
+		return ^is(l.val.Bool)
+	}
+	var m uint64
+	for _, s := range l.set {
+		m |= is(s.Bool)
+	}
+	return m
+}
+
+// sweepRows is the per-row fallback: leafMatchCol on every row still set.
+func sweepRows(l *leaf, c *column, dst []uint64) {
+	for w := range dst {
+		for word := dst[w]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if !leafMatchCol(l, c, w<<6+b) {
+				dst[w] &^= 1 << uint(b)
+			}
+		}
+	}
+}
+
+// setOf extracts an in-leaf's operands as the column's element type.
+func setOf[E any](set []Value, get func(Value) E) []E {
+	if set == nil {
+		return nil
+	}
+	out := make([]E, len(set))
+	for i, v := range set {
+		out[i] = get(v)
+	}
+	return out
 }
 
 // evalBitmap probes the value index of the first eq leaf that has one,

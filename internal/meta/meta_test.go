@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -395,5 +396,95 @@ func TestTrackerPlanner(t *testing.T) {
 	}
 	if fs, ok := snap.Fields["tenant"]; !ok || fs.Scanned == 0 {
 		t.Fatalf("snapshot lacks tenant observations: %+v", snap.Fields)
+	}
+}
+
+// TestSweepMatchesRowMatch pins the typed column sweep to the row-wise
+// definition: for random blocks and random conjunctions over every
+// operator and kind — absent values, fields missing from the block,
+// NaN floats, and a column whose kind disagrees with the registry —
+// the inline plan's match set is exactly Predicate.Match(blk.Row(i)).
+func TestSweepMatchesRowMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	// "mixed" holds ints in the block but is registered as float, so its
+	// leaves take the per-row fallback. "ghost" never appears in a block.
+	reg := map[string]Kind{
+		"tenant": KindString, "ts": KindInt, "score": KindFloat, "hot": KindBool,
+		"mixed": KindFloat, "ghost": KindInt,
+	}
+	floats := []float64{-1, 0, 0.5, 2, math.NaN()}
+	value := func(field string) Value {
+		switch field {
+		case "tenant":
+			return StringValue(string(rune('a' + rng.Intn(4))))
+		case "ts", "mixed":
+			return IntValue(int64(rng.Intn(6) - 2))
+		case "score":
+			return FloatValue(floats[rng.Intn(len(floats))])
+		}
+		return BoolValue(rng.Intn(2) == 0)
+	}
+	operand := func(field string) string {
+		switch field {
+		case "tenant":
+			return fmt.Sprintf("%q", string(rune('a'+rng.Intn(4))))
+		case "score":
+			return fmt.Sprint([]float64{-1, 0, 0.5, 2, 1.5}[rng.Intn(5)])
+		case "hot":
+			return fmt.Sprint(rng.Intn(2) == 0)
+		}
+		return fmt.Sprint(rng.Intn(6) - 2)
+	}
+	fields := []string{"tenant", "ts", "score", "hot", "mixed", "ghost"}
+	ops := []string{"eq", "ne", "lt", "le", "gt", "ge", "in", "exists"}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		rows := make([]Map, n)
+		for i := range rows {
+			for _, f := range fields[:5] {
+				if rng.Intn(3) != 0 {
+					if rows[i] == nil {
+						rows[i] = Map{}
+					}
+					rows[i][f] = value(f)
+				}
+			}
+		}
+		blk := NewBlock(rows)
+		var leaves []string
+		for len(leaves) < 1+rng.Intn(3) {
+			f, o := fields[rng.Intn(len(fields))], ops[rng.Intn(len(ops))]
+			var arg string
+			switch {
+			case o == "exists":
+				arg = fmt.Sprint(rng.Intn(2) == 0)
+			case o == "in":
+				var set []string
+				for k := rng.Intn(4); k > 0; k-- {
+					set = append(set, operand(f))
+				}
+				arg = "[" + strings.Join(set, ",") + "]"
+			case f == "hot" && o != "eq" && o != "ne":
+				continue // ordered operators on bool do not compile
+			default:
+				arg = operand(f)
+			}
+			leaves = append(leaves, fmt.Sprintf(`{"field":%q,%q:%s}`, f, o, arg))
+		}
+		raw := `{"and":[` + strings.Join(leaves, ",") + `]}`
+		p, err := CompileFilter([]byte(raw), reg)
+		if err != nil {
+			t.Fatalf("CompileFilter(%s): %v", raw, err)
+		}
+		got, _ := evalBits(t, p, blk, n, PlanInline)
+		var want []int
+		for i := 0; i < n; i++ {
+			if p.Match(blk.Row(i)) {
+				want = append(want, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d %s:\n got %v\nwant %v", trial, raw, got, want)
+		}
 	}
 }

@@ -16,11 +16,13 @@ import (
 )
 
 // L1 returns the Manhattan distance between equal-length vectors a and b.
+// Like WeightedL1Unchecked it rounds every term before adding it, so the
+// result is the same on every architecture.
 func L1(a, b []float64) float64 {
 	mustSameLen(len(a), len(b))
 	var sum float64
 	for i := range a {
-		sum += math.Abs(a[i] - b[i])
+		sum += float64(math.Abs(a[i] - b[i]))
 	}
 	return sum
 }
@@ -95,10 +97,15 @@ func WeightedL1(w, a, b []float64) float64 {
 // check, for hot loops whose weights are non-negative by construction
 // (core.Model.QueryWeights always is). The summation order is identical to
 // WeightedL1, so both return bit-identical results on valid inputs.
+//
+// The explicit float64 conversion rounds each product before it is
+// added. The Go spec lets a compiler fuse x*y+z into one FMA otherwise,
+// and arm64 does, which would make the sum differ across architectures.
+// The retrieval package's vector kernel reproduces this loop exactly.
 func WeightedL1Unchecked(w, a, b []float64) float64 {
 	var sum float64
 	for i := range a {
-		sum += w[i] * math.Abs(a[i]-b[i])
+		sum += float64(w[i] * math.Abs(a[i]-b[i]))
 	}
 	return sum
 }

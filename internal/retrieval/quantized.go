@@ -43,13 +43,11 @@
 package retrieval
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"qse/internal/metrics"
 	"qse/internal/par"
 	"qse/internal/space"
 	"qse/internal/vafile"
@@ -350,7 +348,7 @@ func newKernel(t *vafile.Tables, bits int) rowKernel {
 			if aborted {
 				return math.Inf(1), false
 			}
-			lb := s - s*mrel
+			lb := s - float64(s*mrel)
 			if lb < 0 {
 				lb = 0
 			}
@@ -358,7 +356,7 @@ func newKernel(t *vafile.Tables, bits int) rowKernel {
 		},
 		lower: func(row []uint8) float64 {
 			s, _ := sum(lb16, row, math.Inf(1))
-			lb := s - s*mrel
+			lb := s - float64(s*mrel)
 			if lb < 0 {
 				lb = 0
 			}
@@ -366,7 +364,7 @@ func newKernel(t *vafile.Tables, bits int) rowKernel {
 		},
 		upper: func(row []uint8) float64 {
 			s, _ := sum(ub16, row, math.Inf(1))
-			return s + s*mrel
+			return s + float64(s*mrel)
 		},
 	}
 }
@@ -976,56 +974,43 @@ func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, paral
 // list is as partition-safe as chunking the position space: mergeTopP
 // is order- and partition-agnostic.
 func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, clk *FilterClock) neighborMaxHeap {
-	h := make(neighborMaxHeap, 0, p+1)
-	bn, d := s.base.Size(), s.base.dims
+	e := newExactScan(qvec, weights, p)
+	bn := s.base.Size()
 	split := lo + sort.Search(hi-lo, func(i int) bool { return int(pr.cands[lo+i]) >= bn })
 	evald := 0
 	if clk == nil {
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald)
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald)
-		return h
+		evald += scanCandRows(&e, s.base.flat, 0, pr, lo, split)
+		evald += scanCandRows(&e, s.deltaFlat, bn, pr, split, hi)
+		return e.h
 	}
 	if lo < split {
 		t0 := time.Now()
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald)
+		evald += scanCandRows(&e, s.base.flat, 0, pr, lo, split)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if split < hi {
 		t0 := time.Now()
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald)
+		evald += scanCandRows(&e, s.deltaFlat, bn, pr, split, hi)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	clk.AddBoundExact(int64(evald))
-	return h
+	return e.h
 }
 
-// scanCandRows evaluates candidates [lo, hi) — all in the one segment
-// whose flat block starts at global position posOff — against the exact
-// kernels, skipping entries whose lower bound exceeds tau. evald counts
-// rows actually evaluated.
-func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, weights []float64, p int, pr *boundPrune, lo, hi int, evald *int) neighborMaxHeap {
-	push := func(pos int, dd float64) {
-		n := space.Neighbor{Index: pos, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
+// scanCandRows feeds the scan candidates [lo, hi) — all in the one
+// segment whose flat block starts at global position posOff — skipping
+// entries whose lower bound exceeds tau, and returns how many rows it
+// evaluated.
+func scanCandRows(e *exactScan, flat []float64, posOff int, pr *boundPrune, lo, hi int) int {
+	e.flat, e.posOff = flat, posOff
+	evald := 0
 	for i := lo; i < hi; i++ {
 		if pr.clbs[i] > pr.tau {
 			continue
 		}
-		pos := int(pr.cands[i])
-		r := pos - posOff
-		v := flat[r*dims : r*dims+dims]
-		*evald++
-		if weights == nil {
-			push(pos, metrics.L1(qvec, v))
-		} else {
-			push(pos, metrics.WeightedL1Unchecked(weights, qvec, v))
-		}
+		e.row(int(pr.cands[i]) - posOff)
+		evald++
 	}
-	return h
+	e.flush()
+	return evald
 }

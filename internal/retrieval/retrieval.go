@@ -417,19 +417,58 @@ func less(a, b space.Neighbor) bool {
 	return a.Index < b.Index
 }
 
-// neighborMaxHeap keeps the worst of the retained candidates on top.
+// neighborMaxHeap is a bounded max-heap under the (distance, position)
+// order: the worst retained candidate sits on top. The retained set is
+// the p smallest rows offered, which is unique under that total order,
+// so mergeTopP's output does not depend on how the heap is arranged.
 type neighborMaxHeap []space.Neighbor
 
-func (h neighborMaxHeap) Len() int           { return len(h) }
-func (h neighborMaxHeap) Less(i, j int) bool { return less(h[j], h[i]) }
-func (h neighborMaxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *neighborMaxHeap) Push(x any)        { *h = append(*h, x.(space.Neighbor)) }
-func (h *neighborMaxHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// offer adds n while the heap holds fewer than p entries, and afterwards
+// replaces the top when n beats it. Together push and replaceTop make
+// the same comparisons, in the same order, as container/heap's Push and
+// Fix(0) would.
+func (h *neighborMaxHeap) offer(n space.Neighbor, p int) {
+	if len(*h) < p {
+		h.push(n)
+	} else if less(n, (*h)[0]) {
+		h.replaceTop(n)
+	}
+}
+
+// push appends n and sifts it up.
+func (h *neighborMaxHeap) push(n space.Neighbor) {
+	s := append(*h, n)
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !less(s[i], n) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = n
+	*h = s
+}
+
+// replaceTop overwrites the top with n and sifts it down.
+func (h neighborMaxHeap) replaceTop(n space.Neighbor) {
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j2 := j + 1; j2 < len(h) && less(h[j], h[j2]) {
+			j = j2
+		}
+		if !less(n, h[j]) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = n
 }
 
 // BruteForce returns the exact k nearest neighbors by scanning the whole

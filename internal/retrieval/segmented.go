@@ -33,13 +33,11 @@
 package retrieval
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"time"
 
 	"qse/internal/meta"
-	"qse/internal/metrics"
 	"qse/internal/par"
 	"qse/internal/space"
 )
@@ -714,79 +712,70 @@ func mergeTopP(heaps []neighborMaxHeap, p int) []space.Neighbor {
 
 // scanRange scans global positions [lo, hi), splitting the range at the
 // base/delta boundary, and returns at most the p best live rows as an
-// unsorted bounded max-heap (threaded through both segment scans by
-// value, like the pre-segmentation scanShard kernel). clk, when
-// non-nil, gets this partition's base/delta scan durations; the scan
-// itself is untouched by timing, so results cannot depend on it.
+// unsorted bounded max-heap. clk, when non-nil, gets this partition's
+// base/delta scan durations; the scan itself is untouched by timing, so
+// results cannot depend on it.
 func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, clk *FilterClock) neighborMaxHeap {
-	h := make(neighborMaxHeap, 0, p+1)
+	e := newExactScan(qvec, weights, p)
 	bn := s.base.Size()
 	if clk == nil {
 		if lo < bn {
-			h = scanSegment(h, s.base.flat, s.base.dims, s.baseDead, qvec, weights, lo, min(hi, bn), 0, p)
+			scanSegment(&e, s.base.flat, s.baseDead, lo, min(hi, bn), 0)
 		}
 		if hi > bn {
-			h = scanSegment(h, s.deltaFlat, s.base.dims, s.deltaDead, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+			scanSegment(&e, s.deltaFlat, s.deltaDead, max(lo, bn)-bn, hi-bn, bn)
 		}
-		return h
+		return e.h
 	}
 	if lo < bn {
 		t0 := time.Now()
-		h = scanSegment(h, s.base.flat, s.base.dims, s.baseDead, qvec, weights, lo, min(hi, bn), 0, p)
+		scanSegment(&e, s.base.flat, s.baseDead, lo, min(hi, bn), 0)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		h = scanSegment(h, s.deltaFlat, s.base.dims, s.deltaDead, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+		scanSegment(&e, s.deltaFlat, s.deltaDead, max(lo, bn)-bn, hi-bn, bn)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
-	return h
+	return e.h
 }
 
 // scanRangeMatch is scanRange driven by match bitsets instead of
 // tombstones: positions [lo, hi) split at the base/delta boundary, each
-// side scanned by the word-skipping match kernel.
+// side scanned by the word-skipping match scan.
 func (s *Segmented[T]) scanRangeMatch(qvec, weights []float64, lo, hi, p int, matchBase, matchDelta bitmap, clk *FilterClock) neighborMaxHeap {
-	h := make(neighborMaxHeap, 0, p+1)
+	e := newExactScan(qvec, weights, p)
 	bn := s.base.Size()
 	if clk == nil {
 		if lo < bn {
-			h = scanSegmentMatch(h, s.base.flat, s.base.dims, matchBase, qvec, weights, lo, min(hi, bn), 0, p)
+			scanSegmentMatch(&e, s.base.flat, matchBase, lo, min(hi, bn), 0)
 		}
 		if hi > bn {
-			h = scanSegmentMatch(h, s.deltaFlat, s.base.dims, matchDelta, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+			scanSegmentMatch(&e, s.deltaFlat, matchDelta, max(lo, bn)-bn, hi-bn, bn)
 		}
-		return h
+		return e.h
 	}
 	if lo < bn {
 		t0 := time.Now()
-		h = scanSegmentMatch(h, s.base.flat, s.base.dims, matchBase, qvec, weights, lo, min(hi, bn), 0, p)
+		scanSegmentMatch(&e, s.base.flat, matchBase, lo, min(hi, bn), 0)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		h = scanSegmentMatch(h, s.deltaFlat, s.base.dims, matchDelta, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+		scanSegmentMatch(&e, s.deltaFlat, matchDelta, max(lo, bn)-bn, hi-bn, bn)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
-	return h
+	return e.h
 }
 
-// scanSegmentMatch scans only the match-bitset rows of [lo, hi) in one
-// segment's flat block, word-skipping over non-matching runs (trailing-
-// zero iteration with edge masking at the range bounds) — for a
-// selective predicate the scan touches a fraction of the segment's
-// vectors. Match bits are already live-only; the heap discipline and
-// the (distance, position) order are exactly scanSegment's.
-func scanSegmentMatch(h neighborMaxHeap, flat []float64, dims int, match bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
-	push := func(i int, dd float64) {
-		n := space.Neighbor{Index: posOff + i, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
+// scanSegmentMatch feeds the scan only the match-bitset rows of [lo, hi)
+// in one segment's flat block, word-skipping over non-matching runs
+// (trailing-zero iteration with edge masking at the range bounds) — for
+// a selective predicate the scan touches a fraction of the segment's
+// vectors. Match bits are already live-only; rows reach the heap in
+// ascending position order, exactly as in scanSegment.
+func scanSegmentMatch(e *exactScan, flat []float64, match bitmap, lo, hi, posOff int) {
+	e.flat, e.posOff = flat, posOff
 	for w := lo >> 6; w < len(match) && w<<6 < hi; w++ {
 		word := match[w]
 		base := w << 6
@@ -799,58 +788,20 @@ func scanSegmentMatch(h neighborMaxHeap, flat []float64, dims int, match bitmap,
 		for word != 0 {
 			i := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			v := flat[i*dims : i*dims+dims]
-			if weights == nil {
-				push(i, metrics.L1(qvec, v))
-			} else {
-				push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
-			}
+			e.row(i)
 		}
 	}
-	return h
+	e.flush()
 }
 
-// scanSegment scans rows [lo, hi) of one segment's flat block, skipping
-// tombstoned rows, accumulating survivors (offset to global positions by
-// posOff) into the bounded max-heap, which it returns: O((hi-lo) log p)
-// with no allocation beyond the heap itself. A segment with no tombstones
-// (always true for a plain Index searching through its Segmented view)
-// takes a dedicated loop with no per-row liveness test, so the hot scan
-// is instruction-identical to the pre-segmentation kernel.
-func scanSegment(h neighborMaxHeap, flat []float64, dims int, dead bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
-	row := flat[lo*dims:]
-	push := func(i int, dd float64) {
-		n := space.Neighbor{Index: posOff + i, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
-	if len(dead) == 0 {
-		for i := lo; i < hi; i++ {
-			v := row[:dims]
-			row = row[dims:]
-			if weights == nil {
-				push(i, metrics.L1(qvec, v))
-			} else {
-				push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
-			}
-		}
-		return h
-	}
+// scanSegment feeds the scan rows [lo, hi) of one segment's flat block,
+// skipping tombstoned rows, under global positions offset by posOff.
+func scanSegment(e *exactScan, flat []float64, dead bitmap, lo, hi, posOff int) {
+	e.flat, e.posOff = flat, posOff
 	for i := lo; i < hi; i++ {
-		v := row[:dims]
-		row = row[dims:]
-		if dead.get(i) {
-			continue
-		}
-		if weights == nil {
-			push(i, metrics.L1(qvec, v))
-		} else {
-			push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
+		if !dead.get(i) {
+			e.row(i)
 		}
 	}
-	return h
+	e.flush()
 }
