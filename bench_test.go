@@ -17,12 +17,9 @@
 package qse
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"testing"
-	"time"
 
 	"qse/internal/core"
 	"qse/internal/dtw"
@@ -37,7 +34,6 @@ import (
 	"qse/internal/space"
 	"qse/internal/stats"
 	"qse/internal/timeseries"
-	"qse/internal/vafile"
 
 	"qse/internal/digits"
 )
@@ -93,54 +89,6 @@ func BenchmarkFilterTopP(b *testing.B) {
 			ix.FilterTopP(q, w, 200)
 		}
 	})
-	// The quantized variants run the same scan through a packed shadow
-	// block: a bound pass over sub-byte codes first, exact float64 rows
-	// only where the bounds cannot exclude. exactRows/query reports how
-	// many of the 20k rows still needed an exact evaluation (the
-	// acceptance target is < 15% at p=200 for 8-bit); results are
-	// bit-identical to the exact scan at every width. shadow-bytes
-	// reports the packed shadow's resident size — 4-bit must be half of
-	// 8-bit.
-	//
-	// Each iteration also times the plain exact scan, interleaved with the
-	// quantized one: the host's clock-speed drift then hits both sides of
-	// the comparison equally, and vs-exact-ratio (quantized wall-clock
-	// over exact wall-clock, < 1 means the shadow scan is faster) is
-	// meaningful even when absolute ns/op between separate sub-benchmarks
-	// is not. ns/op for these sub-benchmarks covers the pair.
-	for _, bits := range []int{4, 8} {
-		seg, err := retrieval.NewSegmented(ix).Quantize(bits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		quantized := func(weights []float64) func(*testing.B) {
-			return func(b *testing.B) {
-				var clk retrieval.FilterClock
-				var exactNs, quantNs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t0 := time.Now()
-					ix.FilterTopP(q, weights, 200)
-					exactNs += time.Since(t0).Nanoseconds()
-					t0 = time.Now()
-					seg.FilterLive(q, weights, 200, true, &clk)
-					quantNs += time.Since(t0).Nanoseconds()
-				}
-				b.ReportMetric(float64(quantNs)/float64(b.N), "quant-ns/op")
-				b.ReportMetric(float64(exactNs)/float64(b.N), "exactscan-ns/op")
-				b.ReportMetric(float64(quantNs)/float64(exactNs), "vs-exact-ratio")
-				b.ReportMetric(float64(seg.ShadowBytes()), "shadow-bytes")
-				var t retrieval.Timing
-				clk.AddTo(&t)
-				if t.BoundScannedRows > 0 {
-					b.ReportMetric(float64(t.BoundExactRows)/float64(b.N), "exactRows/query")
-					b.ReportMetric(float64(t.BoundExactRows)/float64(t.BoundScannedRows), "exactFrac")
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("quantized%d-unweighted", bits), quantized(nil))
-		b.Run(fmt.Sprintf("quantized%d-weighted", bits), quantized(w))
-	}
 }
 
 func BenchmarkSearch(b *testing.B) {
@@ -197,13 +145,6 @@ func BenchmarkSearchFiltered(b *testing.B) {
 
 // BenchmarkSearchBatch measures a 64-query batch against the same index;
 // compare ns/op here to 64× BenchmarkSearch to see the batching win.
-// The quantized sub-benchmarks compare the batched phase 1 (all queries'
-// bound tables built up front, the shadow streamed once per panel for
-// the whole batch) against the same queries issued one at a time, each
-// re-streaming the shadow. Like the FilterTopP pair the two sides are
-// interleaved per iteration so clock drift cancels;
-// batch-vs-perquery-ratio < 1 is the shared-pass win. Results are
-// bit-identical by construction (see TestSearchBatchQuantizedIdentity).
 func BenchmarkSearchBatch(b *testing.B) {
 	ix, _, _ := benchRetrievalIndex(b, 20000, 64)
 	rng := rand.New(rand.NewSource(8))
@@ -222,33 +163,6 @@ func BenchmarkSearchBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, bits := range []int{4, 8} {
-		seg, err := retrieval.NewSegmented(ix).Quantize(bits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("quantized%d", bits), func(b *testing.B) {
-			var batchNs, soloNs int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, _, err := seg.SearchBatch(queries, 10, 200); err != nil {
-					b.Fatal(err)
-				}
-				batchNs += time.Since(t0).Nanoseconds()
-				t0 = time.Now()
-				for _, q := range queries {
-					if _, _, err := seg.Search(q, 10, 200); err != nil {
-						b.Fatal(err)
-					}
-				}
-				soloNs += time.Since(t0).Nanoseconds()
-			}
-			b.ReportMetric(float64(batchNs)/float64(b.N), "batch-ns/op")
-			b.ReportMetric(float64(soloNs)/float64(b.N), "perquery-ns/op")
-			b.ReportMetric(float64(batchNs)/float64(soloNs), "batch-vs-perquery-ratio")
-		})
-	}
 }
 
 // BenchmarkCalibrateP measures the offline parameter-selection sweep
@@ -586,86 +500,6 @@ func BenchmarkTrainingRound(b *testing.B) {
 }
 
 // ---- Extensions beyond the paper (DESIGN.md §5 closing note) ---------------
-
-// BenchmarkVAFileFilterStep compares the VA-file-accelerated filter step
-// against the linear scan at 5,000 vectors x 64 dims. The reported
-// fullEvals/query metric shows the pruning power — the VA-file's actual
-// advantage is that the bound phase reads 1-byte approximations instead of
-// 8-byte floats (a disk/cache win at database scale); with everything
-// already in RAM at this size, raw ns/op favors the linear scan.
-func BenchmarkVAFileFilterStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n, d = 5000, 64
-	centers := make([][]float64, 20)
-	for i := range centers {
-		centers[i] = make([]float64, d)
-		for j := range centers[i] {
-			centers[i][j] = rng.NormFloat64() * 3
-		}
-	}
-	flat := make([]float64, n*d)
-	for i := 0; i < n; i++ {
-		c := centers[i%len(centers)]
-		for j := 0; j < d; j++ {
-			flat[i*d+j] = c[j] + rng.NormFloat64()*0.1
-		}
-	}
-	q := append([]float64(nil), flat[17*d:18*d]...)
-	w := make([]float64, d)
-	for j := range w {
-		w[j] = rng.Float64()
-	}
-
-	b.Run("linear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < n; r++ {
-				metrics.WeightedL1(w, q, flat[r*d:(r+1)*d])
-			}
-		}
-	})
-	b.Run("vafile", func(b *testing.B) {
-		const p = 50
-		bd, err := vafile.BuildBoundaries(flat, n, d, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		codes := bd.EncodeBlock(flat, n)
-		b.ResetTimer()
-		var evals int
-		for i := 0; i < b.N; i++ {
-			tb, ok := bd.QueryTables(q, w)
-			if !ok {
-				b.Fatal("query rejected")
-			}
-			// Phase 1: screen the shadow, keeping the p-th smallest upper
-			// bound as the exclusion threshold.
-			ubs := make([]float64, 0, p)
-			lbs := make([]float64, n)
-			for r := 0; r < n; r++ {
-				row := codes[r*d : (r+1)*d]
-				lbs[r] = tb.RowLower(row)
-				ub := tb.RowUpper(row)
-				if len(ubs) < p {
-					ubs = append(ubs, ub)
-					sort.Float64s(ubs)
-				} else if ub < ubs[p-1] {
-					ubs[sort.SearchFloat64s(ubs[:p-1], ub)] = ub
-					sort.Float64s(ubs)
-				}
-			}
-			tau := ubs[len(ubs)-1]
-			// Phase 2: exact distances only for rows the bounds keep.
-			evals = 0
-			for r := 0; r < n; r++ {
-				if lbs[r] <= tau {
-					metrics.WeightedL1(w, q, flat[r*d:(r+1)*d])
-					evals++
-				}
-			}
-		}
-		b.ReportMetric(float64(evals), "fullEvals/query")
-	})
-}
 
 // BenchmarkBaselineLipschitz contrasts the no-learning vantage baseline
 // with FastMap at the same exact-distance budget, reporting the optimal

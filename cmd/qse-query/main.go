@@ -42,7 +42,6 @@ func main() {
 		pct       = flag.Float64("pct", 95, "recall target for -autop, percent of queries capturing all k true NNs")
 		queryseed = flag.Int64("queryseed", 99, "seed for generating query objects")
 		filter    = flag.String("filter", "", `JSON metadata predicate, e.g. '{"field":"tenant","eq":"acme"}' (requires -bundle)`)
-		quantBits = flag.Int("quantize-bits", -1, "scalar-quantized shadow-block bit width for the filter scan: 1, 2, 4, or 8 bits per dimension (0 off, -1 keeps the bundle's setting; requires -bundle); answers are bit-identical at every width — narrower widths halve shadow memory per step but prune fewer rows")
 	)
 	flag.Parse()
 
@@ -52,20 +51,12 @@ func main() {
 	if *filter != "" && *bundle == "" {
 		fatalf("-filter needs stored metadata; it is only supported with -bundle")
 	}
-	if *quantBits >= 0 && *bundle == "" {
-		fatalf("-quantize-bits configures a store's shadow block; it is only supported with -bundle")
-	}
-	switch *quantBits {
-	case -1, 0, 1, 2, 4, 8:
-	default:
-		fatalf("-quantize-bits %d: supported widths are 0 (off), 1, 2, 4, or 8 bits per dimension", *quantBits)
-	}
 
 	switch *dataset {
 	case "digits":
-		dispatch(datasets.Digits, *bundle, *modelPath, *dbSize, *dataseed, *numQ, *queryseed, *k, *p, *autoP, *pct, *filter, *quantBits)
+		dispatch(datasets.Digits, *bundle, *modelPath, *dbSize, *dataseed, *numQ, *queryseed, *k, *p, *autoP, *pct, *filter)
 	case "series":
-		dispatch(datasets.Series, *bundle, *modelPath, *dbSize, *dataseed, *numQ, *queryseed, *k, *p, *autoP, *pct, *filter, *quantBits)
+		dispatch(datasets.Series, *bundle, *modelPath, *dbSize, *dataseed, *numQ, *queryseed, *k, *p, *autoP, *pct, *filter)
 	default:
 		fatalf("unknown dataset %q", *dataset)
 	}
@@ -76,13 +67,13 @@ func main() {
 // given, and is regenerated + re-embedded from the model otherwise.
 func dispatch[T any](gen func(int, int64) ([]T, func(a, b T) float64, error),
 	bundle, modelPath string, dbSize int, dataseed int64, numQ int, queryseed int64,
-	k, p int, autoP bool, pct float64, filter string, quantBits int) {
+	k, p int, autoP bool, pct float64, filter string) {
 	qs, dist, err := gen(numQ, queryseed)
 	if err != nil {
 		fatalf("generating queries: %v", err)
 	}
 	if bundle != "" {
-		runBundle(bundle, qs, dist, k, p, filter, quantBits)
+		runBundle(bundle, qs, dist, k, p, filter)
 		return
 	}
 	db, dist, err := gen(dbSize, dataseed)
@@ -96,16 +87,11 @@ func dispatch[T any](gen func(int, int64) ([]T, func(a, b T) float64, error),
 // regeneration, no re-embedding. The exact baseline is obtained by
 // searching with p = store size, which degenerates filter-and-refine to
 // an exact scan.
-func runBundle[T any](path string, queries []T, dist qse.Distance[T], k, p int, filter string, quantBits int) {
+func runBundle[T any](path string, queries []T, dist qse.Distance[T], k, p int, filter string) {
 	start := time.Now()
 	st, err := qse.OpenStore(path, dist, qse.GobCodec[T]())
 	if err != nil {
 		fatalf("opening bundle: %v", err)
-	}
-	if quantBits >= 0 {
-		if err := st.SetQuantization(quantBits); err != nil {
-			fatalf("setting quantization: %v", err)
-		}
 	}
 	fmt.Printf("bundle: %d objects, %d dims, %d shard(s), opened in %v (0 exact distances)\n\n",
 		st.Size(), st.Dims(), st.Stats().Shards, time.Since(start).Round(time.Millisecond))
@@ -151,11 +137,6 @@ func runBundle[T any](path string, queries []T, dist qse.Distance[T], k, p int, 
 		float64(totalCost)/float64(len(queries)),
 		float64(st.Size())*float64(len(queries))/float64(totalCost),
 		100*float64(hits)/float64(possible))
-	if sst := st.Stats(); sst.QuantBits > 0 && sst.BoundScannedRows > 0 {
-		fmt.Printf("quantized scan (%d bits): %d rows bound-screened, %d evaluated exactly (%.1f%% pruned)\n",
-			sst.QuantBits, sst.BoundScannedRows, sst.BoundExactRows,
-			100*(1-float64(sst.BoundExactRows)/float64(sst.BoundScannedRows)))
-	}
 }
 
 func run[T any](modelPath string, db, queries []T, dist qse.Distance[T], k, p int, autoP bool, pct float64, queryseed int64) {

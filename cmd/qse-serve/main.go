@@ -109,7 +109,6 @@ func main() {
 		compactDeltaFrac = flag.Float64("compact-delta-frac", defPol.DeltaFrac, "delta-to-base ratio that (with -compact-min-delta) triggers compaction")
 		compactMinDead   = flag.Int("compact-min-dead", defPol.MinDead, "compact when at least this many rows are tombstoned and -compact-dead-frac of the store")
 		compactDeadFrac  = flag.Float64("compact-dead-frac", defPol.DeadFrac, "tombstone-to-total ratio that (with -compact-min-dead) triggers compaction")
-		quantBits        = flag.Int("quantize-bits", -1, "scalar-quantized shadow-block bit width for the filter scan: 1, 2, 4, or 8 bits per dimension (0 turns quantization off, -1 keeps whatever the bundle was saved with); results are bit-identical at every width — narrower widths shrink the shadow and its memory traffic (4-bit is half of 8-bit) but prune less, so more rows fall through to exact evaluation")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -117,9 +116,6 @@ func main() {
 
 	if *dataset != "series" {
 		log.Fatalf("unsupported dataset %q: only series objects have a JSON encoding", *dataset)
-	}
-	if err := checkQuantBits(*quantBits); err != nil {
-		log.Fatal(err)
 	}
 	dist := space.Distance[dtw.Series](func(a, b dtw.Series) float64 { return dtw.Constrained(a, b, 0.10) })
 	codec := store.Gob[dtw.Series]()
@@ -136,11 +132,6 @@ func main() {
 		MinDelta: *compactMinDelta, DeltaFrac: *compactDeltaFrac,
 		MinDead: *compactMinDead, DeadFrac: *compactDeadFrac,
 	})
-	if *quantBits >= 0 {
-		if err := st.SetQuantization(*quantBits); err != nil {
-			log.Fatalf("setting quantization: %v", err)
-		}
-	}
 	stats := st.Stats()
 	log.Printf("store ready: %d objects, %d dims, %d shards, generation %d", stats.Size, stats.Dims, stats.Shards, stats.Generation)
 	if *buildOnly {
@@ -257,17 +248,6 @@ func main() {
 		log.Fatalf("closing store: final snapshot failed, recent mutations may be lost: %v", err)
 	}
 	log.Printf("store closed (generation %d)", st.Stats().Generation)
-}
-
-// checkQuantBits rejects -quantize-bits values the packed shadow layout
-// cannot store (codes must tile bytes exactly). -1 means "keep the
-// bundle's setting" and is always fine.
-func checkQuantBits(bits int) error {
-	switch bits {
-	case -1, 0, 1, 2, 4, 8:
-		return nil
-	}
-	return fmt.Errorf("-quantize-bits %d: supported widths are 0 (off), 1, 2, 4, or 8 bits per dimension", bits)
 }
 
 type buildConfig struct {

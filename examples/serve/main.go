@@ -108,14 +108,6 @@ func main() {
 	if err := served.Start(store.Lifecycle{SnapshotPath: bundle}); err != nil {
 		log.Fatal(err)
 	}
-	// Scalar quantization gives every row an 8-bit shadow the filter scan
-	// screens with cheap distance bounds, touching the exact float64
-	// vectors only for rows the bounds cannot exclude. Answers stay
-	// bit-identical; only scan cost changes. qse-serve exposes this as
-	// -quantize-bits, and the shadow persists inside the bundle.
-	if err := served.SetQuantization(8); err != nil {
-		log.Fatal(err)
-	}
 	decode := func(raw json.RawMessage) ([]float64, error) {
 		var v []float64
 		if err := json.Unmarshal(raw, &v); err != nil {
@@ -192,9 +184,7 @@ func main() {
 		if bytes.HasPrefix(line, []byte("qse_http_requests_total")) ||
 			bytes.HasPrefix(line, []byte("qse_search_stage_duration_seconds_count")) ||
 			bytes.HasPrefix(line, []byte("qse_filter_field_selectivity")) ||
-			bytes.HasPrefix(line, []byte("qse_store_size")) ||
-			bytes.HasPrefix(line, []byte("qse_store_quantize_bits")) ||
-			bytes.HasPrefix(line, []byte("qse_store_bound_prune_rate")) {
+			bytes.HasPrefix(line, []byte("qse_store_size")) {
 			fmt.Printf("  %s\n", line)
 		}
 	}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"qse/internal/embed"
+	"qse/internal/metrics"
 	"qse/internal/space"
 )
 
@@ -134,16 +134,13 @@ func (m *Model[T]) QueryWeights(qvec []float64) []float64 {
 // Distance evaluates D_out (Eq. 11) between an embedded query (vector plus
 // its query-sensitive weights) and an embedded database object:
 // sum_i A_i(q) |q_i - x_i|. It is asymmetric by design: the weights belong
-// to the query.
+// to the query. The sum is metrics.WeightedL1Unchecked, whose products
+// are rounded before they are added, so no architecture fuses them.
 func Distance(qvec, qweights, xvec []float64) float64 {
 	if len(qvec) != len(xvec) || len(qvec) != len(qweights) {
 		panic(fmt.Sprintf("core: dimension mismatch %d/%d/%d", len(qvec), len(qweights), len(xvec)))
 	}
-	var sum float64
-	for i := range qvec {
-		sum += qweights[i] * math.Abs(qvec[i]-xvec[i])
-	}
-	return sum
+	return metrics.WeightedL1Unchecked(qweights, qvec, xvec)
 }
 
 // ClassifierH evaluates the boosted classifier H (Eq. 9) on a triple given

@@ -106,7 +106,8 @@ func TestSearchFilteredNilIsSearch(t *testing.T) {
 // TestSearchFilteredMatchesReference checks, over churned segments and
 // both plans, that a filtered search returns exactly the matching live
 // rows re-ranked by exact distance — top-p drawn from matching rows
-// only.
+// only. The heads include one drained to zero live rows, and the
+// filters one that no row satisfies: both must answer empty, not fail.
 func TestSearchFilteredMatchesReference(t *testing.T) {
 	for name, em := range map[string]Embedder[[]float64]{
 		"unweighted": identityEmbedder{},
@@ -117,51 +118,68 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			head := metaScript(t, NewSegmented(base), 17, 170)
-			filters := []string{
-				`{"field":"bucket","eq":3}`,
-				`{"and":[{"field":"tag","eq":"b"},{"field":"bucket","ge":5}]}`,
-				`{"field":"bucket","exists":false}`,
-				`{"field":"bucket","in":[1,2]}`,
-				`{"field":"tag","ne":"a"}`,
+			churned := metaScript(t, NewSegmented(base), 17, 170)
+			drained := churned
+			for pos := 0; pos < drained.Total(); pos++ {
+				if drained.Alive(pos) {
+					if drained, err = drained.Remove(pos); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			for _, raw := range filters {
-				pred := mustFilter(t, raw)
-				match := matchingLive(head, pred)
-				q := []float64{0.3, 0.7}
-				// p past the match count: the result is every matching live
-				// row, sorted by (exact distance, position).
-				var want []space.Neighbor
-				for _, pos := range match {
-					want = append(want, space.Neighbor{Index: pos, Distance: l2(q, head.Object(pos))})
-				}
-				space.SortNeighbors(want)
-				k := len(want)
-				if k == 0 {
-					k = 1
-				}
-				for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
-					got, st, err := head.SearchFiltered(q, k, head.Total()+10, pred, plan)
-					if err != nil {
-						t.Fatalf("filter %s plan %v: %v", raw, plan, err)
-					}
-					if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-						t.Fatalf("filter %s plan %v:\n  want %v\n  got  %v", raw, plan, want, got)
-					}
-					if st.RefineDistances != len(match) {
-						t.Fatalf("filter %s plan %v: refined %d, want %d matching rows",
-							raw, plan, st.RefineDistances, len(match))
-					}
-				}
+			for hname, head := range map[string]*Segmented[[]float64]{"churned": churned, "drained": drained} {
+				t.Run(hname, func(t *testing.T) { checkFilteredReference(t, head) })
 			}
 		})
+	}
+}
+
+func checkFilteredReference(t *testing.T, head *Segmented[[]float64]) {
+	t.Helper()
+	filters := []string{
+		`{"field":"bucket","eq":3}`,
+		`{"and":[{"field":"tag","eq":"b"},{"field":"bucket","ge":5}]}`,
+		`{"field":"bucket","exists":false}`,
+		`{"field":"bucket","in":[1,2]}`,
+		`{"field":"tag","ne":"a"}`,
+		`{"field":"bucket","eq":99}`,
+	}
+	for _, raw := range filters {
+		pred := mustFilter(t, raw)
+		match := matchingLive(head, pred)
+		q := []float64{0.3, 0.7}
+		// p past the match count: the result is every matching live
+		// row, sorted by (exact distance, position).
+		var want []space.Neighbor
+		for _, pos := range match {
+			want = append(want, space.Neighbor{Index: pos, Distance: l2(q, head.Object(pos))})
+		}
+		space.SortNeighbors(want)
+		k := len(want)
+		if k == 0 {
+			k = 1
+		}
+		for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
+			got, st, err := head.SearchFiltered(q, k, head.Total()+10, pred, plan)
+			if err != nil {
+				t.Fatalf("filter %s plan %v: %v", raw, plan, err)
+			}
+			if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
+				t.Fatalf("filter %s plan %v:\n  want %v\n  got  %v", raw, plan, want, got)
+			}
+			if st.RefineDistances != len(match) {
+				t.Fatalf("filter %s plan %v: refined %d, want %d matching rows",
+					raw, plan, st.RefineDistances, len(match))
+			}
+		}
 	}
 }
 
 // TestFilterLiveMatchParallelBoundaries exercises the word-skip kernel's
 // edge masking across parallel partition boundaries: a base big enough
 // to fan out, a selective predicate, parallel and serial scans must
-// agree exactly.
+// agree exactly — with tombstones in the base alone, and with a
+// tombstoned delta segment behind it.
 func TestFilterLiveMatchParallelBoundaries(t *testing.T) {
 	n := minParallelScan*2 + 133
 	base, err := BuildIndex(testDB(n), l2, identityEmbedder{})
@@ -180,9 +198,21 @@ func TestFilterLiveMatchParallelBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	withDelta := metaScript(t, seg, 41, 300)
+	if _, deltaDead := withDelta.Tombstoned(); bitmap(deltaDead).popcount() == 0 {
+		t.Fatal("script left no delta tombstones")
+	}
+	for name, seg := range map[string]*Segmented[[]float64]{"base": seg, "base+delta": withDelta} {
+		t.Run(name, func(t *testing.T) { checkParallelMatch(t, seg) })
+	}
+}
+
+func checkParallelMatch(t *testing.T, seg *Segmented[[]float64]) {
+	t.Helper()
 	pred := mustFilter(t, `{"field":"bucket","eq":7}`)
 	q := []float64{0.5, 0.5}
 	qvec := identityEmbedder{}.Embed(q)
+	n := seg.Total()
 	for _, p := range []int{1, 17, 400, n} {
 		ser, serCount, _ := seg.FilterLiveMatch(qvec, nil, p, false, nil, pred, meta.PlanInline)
 		par1, parCount, _ := seg.FilterLiveMatch(qvec, nil, p, true, nil, pred, meta.PlanInline)

@@ -1,5 +1,5 @@
 // The exact filter kernel. Every exact scan in this package — the dense
-// scan, the predicate scan and the quantized phase 2 — evaluates rows in
+// scan and the predicate scan — evaluates rows in
 // groups of 8 through l1x8, which computes the query-sensitive weighted
 // L1 of Eq. 11 for 8 rows of a row-major flat block at once. Each row's
 // result is bit-identical to metrics.WeightedL1Unchecked: the row's

@@ -19,12 +19,13 @@ import (
 // unpinned kernel would return different distances there than on the
 // amd64 machines the equivalence suites run on. The test cross-compiles
 // the exact-distance kernels for both targets with -S and fails on any
-// fused instruction in them: every function of this package, and the L1
-// family of internal/metrics. It also fails on an FMA instruction in the
-// assembly kernel. Only the installed toolchain is needed.
+// fused instruction in them: every function of this package, the L1
+// family of internal/metrics, and core.Distance (Eq. 11 as the model
+// evaluates it). It also fails on an FMA instruction in the assembly
+// kernel. Only the installed toolchain is needed.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles two packages")
+		t.Skip("cross-compiles three packages")
 	}
 	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(goBin); err != nil {
@@ -32,7 +33,8 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 	checked := func(fn string) bool {
 		switch fn {
-		case "qse/internal/metrics.L1", "qse/internal/metrics.WeightedL1", "qse/internal/metrics.WeightedL1Unchecked":
+		case "qse/internal/metrics.L1", "qse/internal/metrics.WeightedL1", "qse/internal/metrics.WeightedL1Unchecked",
+			"qse/internal/core.Distance":
 			return true
 		}
 		return strings.HasPrefix(fn, "qse/internal/retrieval.")
@@ -45,7 +47,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 		{[]string{"GOARCH=amd64", "GOAMD64=v3"}, regexp.MustCompile(`\bVF(N?)M(ADD|SUB)`)},
 	}
 	for _, tg := range targets {
-		cmd := exec.Command(goBin, "build", "-gcflags=-S", "qse/internal/metrics", "qse/internal/retrieval")
+		cmd := exec.Command(goBin, "build", "-gcflags=-S", "qse/internal/metrics", "qse/internal/core", "qse/internal/retrieval")
 		cmd.Env = append(os.Environ(), append([]string{"CGO_ENABLED=0", "GOOS=linux"}, tg.env...)...)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
@@ -66,7 +68,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 				t.Errorf("%v: fused multiply-add in %s:\n%s", tg.env, fn, line)
 			}
 		}
-		for _, want := range []string{"qse/internal/metrics.WeightedL1Unchecked", "qse/internal/retrieval.l1x8Go"} {
+		for _, want := range []string{"qse/internal/metrics.WeightedL1Unchecked", "qse/internal/core.Distance", "qse/internal/retrieval.l1x8Go"} {
 			if !seen[want] {
 				t.Fatalf("%v: no assembly listed for %s; the -S output was not parsed", tg.env, want)
 			}

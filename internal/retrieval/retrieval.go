@@ -240,29 +240,16 @@ type Timing struct {
 	// into per-segment match bitsets before the scan consumes them.
 	// Always zero for unfiltered queries.
 	FilterEvalNanos int64
-	// BoundScanNanos covers the shadow-block bound scan of a quantized
-	// segment: building the query's cell tables, accumulating per-row
-	// lower bounds, and maintaining the p-th smallest upper bound.
-	// Always zero when quantization is off.
-	BoundScanNanos int64
 	// MergeNanos covers merging per-partition (and, in the sharded
 	// store, per-shard) candidate lists and truncating to top-p.
 	MergeNanos int64
 	// RefineNanos covers the exact-distance re-ranking and final sort.
 	RefineNanos int64
-	// BoundScannedRows / BoundExactRows are the bound scan's row
-	// counters, not durations: rows whose bounds were examined, and rows
-	// that still had to be evaluated against the exact float64 block
-	// (BoundScannedRows - BoundExactRows rows were pruned). Both stay
-	// zero when quantization is off — the exact scan does not count.
-	BoundScannedRows int64
-	BoundExactRows   int64
 }
 
-// TotalNanos returns the summed stage durations (row counters are not
-// durations and do not contribute).
+// TotalNanos returns the summed stage durations.
 func (t Timing) TotalNanos() int64 {
-	return t.EmbedNanos + t.FilterBaseNanos + t.FilterDeltaNanos + t.FilterEvalNanos + t.BoundScanNanos + t.MergeNanos + t.RefineNanos
+	return t.EmbedNanos + t.FilterBaseNanos + t.FilterDeltaNanos + t.FilterEvalNanos + t.MergeNanos + t.RefineNanos
 }
 
 // Add accumulates another breakdown into t (used when batch callers
@@ -272,11 +259,8 @@ func (t *Timing) Add(o Timing) {
 	t.FilterBaseNanos += o.FilterBaseNanos
 	t.FilterDeltaNanos += o.FilterDeltaNanos
 	t.FilterEvalNanos += o.FilterEvalNanos
-	t.BoundScanNanos += o.BoundScanNanos
 	t.MergeNanos += o.MergeNanos
 	t.RefineNanos += o.RefineNanos
-	t.BoundScannedRows += o.BoundScannedRows
-	t.BoundExactRows += o.BoundExactRows
 }
 
 // FilterClock accumulates filter-phase durations from concurrent scan
@@ -285,8 +269,7 @@ func (t *Timing) Add(o Timing) {
 // value is ready to use; a nil *FilterClock disables timing (the eval
 // harness's FilterTopP path stays untouched).
 type FilterClock struct {
-	base, delta, eval, merge     atomic.Int64
-	bound, boundRows, boundExact atomic.Int64
+	base, delta, eval, merge atomic.Int64
 }
 
 // AddBase/AddDelta/AddMerge accumulate nanoseconds into a stage; all
@@ -317,28 +300,6 @@ func (c *FilterClock) AddEval(ns int64) {
 	}
 }
 
-// AddBound accumulates shadow-block bound-scan time.
-func (c *FilterClock) AddBound(ns int64) {
-	if c != nil {
-		c.bound.Add(ns)
-	}
-}
-
-// AddBoundRows counts rows whose bounds the shadow scan examined.
-func (c *FilterClock) AddBoundRows(n int64) {
-	if c != nil {
-		c.boundRows.Add(n)
-	}
-}
-
-// AddBoundExact counts rows the bound scan could not exclude, which the
-// exact scan then evaluated against the float64 block.
-func (c *FilterClock) AddBoundExact(n int64) {
-	if c != nil {
-		c.boundExact.Add(n)
-	}
-}
-
 // AddTo folds the accumulated filter durations into a Timing.
 func (c *FilterClock) AddTo(t *Timing) {
 	if c == nil {
@@ -347,10 +308,7 @@ func (c *FilterClock) AddTo(t *Timing) {
 	t.FilterBaseNanos += c.base.Load()
 	t.FilterDeltaNanos += c.delta.Load()
 	t.FilterEvalNanos += c.eval.Load()
-	t.BoundScanNanos += c.bound.Load()
 	t.MergeNanos += c.merge.Load()
-	t.BoundScannedRows += c.boundRows.Load()
-	t.BoundExactRows += c.boundExact.Load()
 }
 
 // Search runs filter-and-refine: keep the p best database objects under

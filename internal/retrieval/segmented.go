@@ -114,9 +114,6 @@ type Segmented[T any] struct {
 	// exactly len(deltaDB) long (nil entries for metadata-less rows).
 	baseMeta  *meta.Block
 	deltaMeta []meta.Map
-	// quant is the optional quantized shadow block (see quantized.go);
-	// nil means exact scans only.
-	quant *quantState
 }
 
 // NewSegmented wraps a single-segment index as a Segmented with an empty
@@ -366,9 +363,6 @@ func (s *Segmented[T]) AddWithVectorMeta(x T, v []float64, md meta.Map) (*Segmen
 	n := *s
 	n.deltaDB = append(s.deltaDB, x)
 	n.deltaFlat = append(s.deltaFlat, v...)
-	if s.quant != nil {
-		n.quant = s.quant.appendRow(v, s.base.dims)
-	}
 	switch {
 	case md == nil && s.deltaMeta == nil:
 		// Still no delta metadata anywhere: keep the canonical nil.
@@ -530,17 +524,9 @@ func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, plan meta
 
 // SearchBatch pipelines queries across the worker pool like
 // Index.SearchBatch, with the same deterministic first-error semantics.
-// When a shadow block is live, the batch takes the shared-phase-1
-// pipeline instead: one streaming pass over the packed shadow screens
-// every query (searchBatchQuantized), then each query's phase 2, merge,
-// and refine run independently — per-query results and stats are
-// bit-identical to running the queries one at a time.
 func (s *Segmented[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, []Stats, error) {
 	if err := CheckKP(k, p); err != nil {
 		return nil, nil, err
-	}
-	if s.quant != nil && s.quant.bounds != nil && len(queries) > 1 {
-		return s.searchBatchQuantized(queries, k, p)
 	}
 	results := make([][]space.Neighbor, len(queries))
 	stats := make([]Stats, len(queries))
@@ -616,33 +602,7 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	if p <= 0 {
 		return nil, matched, used
 	}
-	total := s.Total()
-	var pr *boundPrune
-	if s.quant != nil && s.quant.bounds != nil {
-		t0 = time.Now()
-		pr = s.boundScan(qvec, weights, p, parallel, clk, matchBase, matchDelta, true)
-		clk.AddBound(time.Since(t0).Nanoseconds())
-	}
-	var heaps []neighborMaxHeap
-	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, parallel, pr, clk)
-	} else if !parallel || total < minParallelScan {
-		heaps = []neighborMaxHeap{s.scanRangeMatch(qvec, weights, 0, total, p, matchBase, matchDelta, clk)}
-	} else {
-		w := par.Workers()
-		all := make([]neighborMaxHeap, w)
-		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = s.scanRangeMatch(qvec, weights, lo, hi, p, matchBase, matchDelta, clk)
-		})
-		heaps = all[:shards]
-	}
-	if clk == nil {
-		return mergeTopP(heaps, p), matched, used
-	}
-	t0 = time.Now()
-	out := mergeTopP(heaps, p)
-	clk.AddMerge(time.Since(t0).Nanoseconds())
-	return out, matched, used
+	return s.scanTopP(qvec, weights, p, parallel, clk, scanSegmentMatch, matchBase, matchDelta), matched, used
 }
 
 // filterTopP ranks the live rows of both segments under the filter
@@ -653,29 +613,37 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 // the merged top-p is unique under the total order, so the result is
 // identical for any shard count.
 func (s *Segmented[T]) filterTopP(qvec, weights []float64, p int, parallel bool, clk *FilterClock) []space.Neighbor {
-	total := s.Total()
 	if live := s.Live(); p > live {
 		p = live
 	}
 	if p <= 0 {
 		return nil
 	}
-	var pr *boundPrune
-	if s.quant != nil && s.quant.bounds != nil {
-		t0 := time.Now()
-		pr = s.boundScan(qvec, weights, p, parallel, clk, nil, nil, false)
-		clk.AddBound(time.Since(t0).Nanoseconds())
-	}
+	return s.scanTopP(qvec, weights, p, parallel, clk, scanSegment, s.baseDead, s.deltaDead)
+}
+
+// segmentScan feeds an exact scan the selected rows [lo, hi) of one
+// segment's flat block under global positions offset by posOff. rows
+// selects by tombstones (scanSegment) or by match bits
+// (scanSegmentMatch).
+type segmentScan func(e *exactScan, flat []float64, rows bitmap, lo, hi, posOff int)
+
+// scanTopP is the one filter-scan schedule: a single serial partition
+// when parallelism is off or the position space is below
+// minParallelScan, par.Shards partitions otherwise, each scanned by
+// scanRange, then a timed merge to the p best. The partition boundaries
+// depend only on the row count, never on scan or its bitmaps, so every
+// scan kind is partitioned identically.
+func (s *Segmented[T]) scanTopP(qvec, weights []float64, p int, parallel bool, clk *FilterClock, scan segmentScan, baseRows, deltaRows bitmap) []space.Neighbor {
+	total := s.Total()
 	var heaps []neighborMaxHeap
-	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, parallel, pr, clk)
-	} else if !parallel || total < minParallelScan {
-		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, clk)}
+	if !parallel || total < minParallelScan {
+		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, clk, scan, baseRows, deltaRows)}
 	} else {
 		w := par.Workers()
 		all := make([]neighborMaxHeap, w)
 		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = s.scanRange(qvec, weights, lo, hi, p, clk)
+			all[sh] = s.scanRange(qvec, weights, lo, hi, p, clk, scan, baseRows, deltaRows)
 		})
 		heaps = all[:shards]
 	}
@@ -711,58 +679,31 @@ func mergeTopP(heaps []neighborMaxHeap, p int) []space.Neighbor {
 }
 
 // scanRange scans global positions [lo, hi), splitting the range at the
-// base/delta boundary, and returns at most the p best live rows as an
-// unsorted bounded max-heap. clk, when non-nil, gets this partition's
-// base/delta scan durations; the scan itself is untouched by timing, so
-// results cannot depend on it.
-func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, clk *FilterClock) neighborMaxHeap {
+// base/delta boundary and handing each side to scan with that segment's
+// row bitmap, and returns at most the p best rows as an unsorted bounded
+// max-heap. clk, when non-nil, gets this partition's base/delta scan
+// durations; the scan itself is untouched by timing, so results cannot
+// depend on it.
+func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, clk *FilterClock, scan segmentScan, baseRows, deltaRows bitmap) neighborMaxHeap {
 	e := newExactScan(qvec, weights, p)
 	bn := s.base.Size()
 	if clk == nil {
 		if lo < bn {
-			scanSegment(&e, s.base.flat, s.baseDead, lo, min(hi, bn), 0)
+			scan(&e, s.base.flat, baseRows, lo, min(hi, bn), 0)
 		}
 		if hi > bn {
-			scanSegment(&e, s.deltaFlat, s.deltaDead, max(lo, bn)-bn, hi-bn, bn)
+			scan(&e, s.deltaFlat, deltaRows, max(lo, bn)-bn, hi-bn, bn)
 		}
 		return e.h
 	}
 	if lo < bn {
 		t0 := time.Now()
-		scanSegment(&e, s.base.flat, s.baseDead, lo, min(hi, bn), 0)
+		scan(&e, s.base.flat, baseRows, lo, min(hi, bn), 0)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		scanSegment(&e, s.deltaFlat, s.deltaDead, max(lo, bn)-bn, hi-bn, bn)
-		clk.AddDelta(time.Since(t0).Nanoseconds())
-	}
-	return e.h
-}
-
-// scanRangeMatch is scanRange driven by match bitsets instead of
-// tombstones: positions [lo, hi) split at the base/delta boundary, each
-// side scanned by the word-skipping match scan.
-func (s *Segmented[T]) scanRangeMatch(qvec, weights []float64, lo, hi, p int, matchBase, matchDelta bitmap, clk *FilterClock) neighborMaxHeap {
-	e := newExactScan(qvec, weights, p)
-	bn := s.base.Size()
-	if clk == nil {
-		if lo < bn {
-			scanSegmentMatch(&e, s.base.flat, matchBase, lo, min(hi, bn), 0)
-		}
-		if hi > bn {
-			scanSegmentMatch(&e, s.deltaFlat, matchDelta, max(lo, bn)-bn, hi-bn, bn)
-		}
-		return e.h
-	}
-	if lo < bn {
-		t0 := time.Now()
-		scanSegmentMatch(&e, s.base.flat, matchBase, lo, min(hi, bn), 0)
-		clk.AddBase(time.Since(t0).Nanoseconds())
-	}
-	if hi > bn {
-		t0 := time.Now()
-		scanSegmentMatch(&e, s.deltaFlat, matchDelta, max(lo, bn)-bn, hi-bn, bn)
+		scan(&e, s.deltaFlat, deltaRows, max(lo, bn)-bn, hi-bn, bn)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	return e.h

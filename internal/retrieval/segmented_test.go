@@ -197,8 +197,8 @@ func TestSegmentedParallelSerialIdentity(t *testing.T) {
 
 // TestSegmentedDrained covers the empty-store contract end to end at this
 // layer: removing every row leaves a version that still answers (with
-// zero results, not an error), compacts to an empty index, and accepts
-// new objects.
+// zero results, not an error, one query or a batch), compacts to an
+// empty index, and accepts new objects.
 func TestSegmentedDrained(t *testing.T) {
 	base, err := BuildIndex(testDB(12), l2, identityEmbedder{})
 	if err != nil {
@@ -219,6 +219,10 @@ func TestSegmentedDrained(t *testing.T) {
 	}
 	if len(res) != 0 || st.RefineDistances != 0 {
 		t.Fatalf("drained search returned %v (stats %+v), want none", res, st)
+	}
+	batch, _, err := head.SearchBatch([][]float64{{0.5, 0.5}, {0.1, 0.9}}, 3, 9)
+	if err != nil || len(batch) != 2 || len(batch[0]) != 0 || len(batch[1]) != 0 {
+		t.Fatalf("drained batch search returned %v, %v; want two empty rows", batch, err)
 	}
 	compacted := head.Compact()
 	if compacted.Size() != 0 || compacted.Dims() != 2 {

@@ -9,7 +9,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"qse/internal/obs"
@@ -27,7 +26,6 @@ type stage int
 const (
 	stEmbed stage = iota
 	stFilterEval
-	stBoundScan
 	stFilterBase
 	stFilterDelta
 	stMerge
@@ -35,7 +33,7 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"embed", "filter_eval", "bound_scan", "filter_base", "filter_delta", "merge", "refine"}
+var stageNames = [numStages]string{"embed", "filter_eval", "filter_base", "filter_delta", "merge", "refine"}
 
 // metrics is one endpoint's traffic instruments. Served requests and
 // sheds are disjoint: a shed 429 touches only the shed counter, so the
@@ -105,21 +103,6 @@ func (s *Server[T]) initObs() {
 		snapFailures:    r.Gauge("qse_store_snapshot_failures_total", "Failed snapshot attempts since startup."),
 		snapLastOKUnix:  r.Gauge("qse_store_last_snapshot_ok_unix", "Unix time of the last successful snapshot."),
 		degradedPersist: r.Gauge("qse_store_degraded_persistence", "1 while snapshots keep failing past the tolerance, else 0."),
-		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (0 = off)."),
-		shadowBits:      r.Gauge("qse_store_shadow_bits", "Scalar-quantization bit width of the shadow block (0 = off); alias of qse_store_quantize_bits."),
-		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the packed shadow block, base plus delta (0 when quantization is off)."),
-		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the quantized bound scan since startup."),
-		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Bound-screened rows that needed an exact float64 evaluation."),
-		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of bound-screened rows excluded without exact evaluation."),
-	}
-	for _, bits := range []int{1, 2, 4, 8} {
-		l := obs.Label{Name: "bits", Value: strconv.Itoa(bits)}
-		g.widthScanned[bits] = r.Gauge("qse_store_bound_scanned_rows_by_width_total",
-			"Rows screened by the bound scan, broken down by the quantization width active at query time.", l)
-		g.widthExact[bits] = r.Gauge("qse_store_bound_exact_rows_by_width_total",
-			"Bound-screened rows that needed exact evaluation, by quantization width.", l)
-		g.widthPruneRate[bits] = r.Gauge("qse_store_bound_prune_rate_by_width",
-			"Fraction of bound-screened rows excluded without exact evaluation, by quantization width.", l)
 	}
 	r.OnScrape(func() {
 		st := s.st.Stats()
@@ -141,29 +124,6 @@ func (s *Server[T]) initObs() {
 			g.degradedPersist.Set(1)
 		} else {
 			g.degradedPersist.Set(0)
-		}
-		g.quantBits.Set(float64(st.QuantBits))
-		g.shadowBits.Set(float64(st.QuantBits))
-		g.shadowBytes.Set(float64(st.ShadowBytes))
-		g.boundScanned.Set(float64(st.BoundScannedRows))
-		g.boundExact.Set(float64(st.BoundExactRows))
-		if st.BoundScannedRows > 0 {
-			g.boundPruneRate.Set(1 - float64(st.BoundExactRows)/float64(st.BoundScannedRows))
-		} else {
-			g.boundPruneRate.Set(0)
-		}
-		for bits, wg := range g.widthScanned {
-			if wg == nil {
-				continue
-			}
-			bw := st.BoundWidths[bits]
-			wg.Set(float64(bw.ScannedRows))
-			g.widthExact[bits].Set(float64(bw.ExactRows))
-			if bw.ScannedRows > 0 {
-				g.widthPruneRate[bits].Set(1 - float64(bw.ExactRows)/float64(bw.ScannedRows))
-			} else {
-				g.widthPruneRate[bits].Set(0)
-			}
 		}
 	})
 
@@ -208,11 +168,6 @@ type storeGauges struct {
 	lastCompaction, lastSnapshot, lastSnapshotB         *obs.Gauge
 	deltaScanShare, snapFailures, snapLastOKUnix        *obs.Gauge
 	degradedPersist                                     *obs.Gauge
-	quantBits, boundScanned, boundExact, boundPruneRate *obs.Gauge
-	shadowBits, shadowBytes                             *obs.Gauge
-	// widthScanned/widthExact/widthPruneRate are the same counters by
-	// quantization width, indexed by bits (only 1, 2, 4, 8 populated).
-	widthScanned, widthExact, widthPruneRate [9]*obs.Gauge
 }
 
 // observeSearch feeds one query's cost into the stage histograms and
@@ -225,11 +180,6 @@ func (s *Server[T]) observeSearch(st retrieval.Stats) {
 	// unfiltered query would bury the stage's real distribution.
 	if t.FilterEvalNanos > 0 {
 		s.stage[stFilterEval].Observe(t.FilterEvalNanos)
-	}
-	// bound_scan exists only when the store is quantized; same reasoning
-	// as filter_eval.
-	if t.BoundScanNanos > 0 {
-		s.stage[stBoundScan].Observe(t.BoundScanNanos)
 	}
 	s.stage[stFilterBase].Observe(t.FilterBaseNanos)
 	s.stage[stFilterDelta].Observe(t.FilterDeltaNanos)
@@ -246,13 +196,7 @@ type timingJSON struct {
 	// FilterEvalUs is the predicate-evaluation pre-pass; omitted when the
 	// query carried no filter, so unfiltered responses are byte-identical
 	// to the pre-filter wire format.
-	FilterEvalUs float64 `json:"filter_eval_us,omitempty"`
-	// BoundScanUs is the quantized shadow-block screening pass; omitted
-	// (with its row counters) when the store runs unquantized, keeping
-	// the wire format unchanged for exact-only deployments.
-	BoundScanUs   float64 `json:"bound_scan_us,omitempty"`
-	BoundScanned  int64   `json:"bound_scanned_rows,omitempty"`
-	BoundExact    int64   `json:"bound_exact_rows,omitempty"`
+	FilterEvalUs  float64 `json:"filter_eval_us,omitempty"`
 	FilterBaseUs  float64 `json:"filter_base_us"`
 	FilterDeltaUs float64 `json:"filter_delta_us"`
 	MergeUs       float64 `json:"merge_us"`
@@ -264,9 +208,6 @@ func toTimingJSON(t retrieval.Timing) *timingJSON {
 	return &timingJSON{
 		EmbedUs:       float64(t.EmbedNanos) / 1e3,
 		FilterEvalUs:  float64(t.FilterEvalNanos) / 1e3,
-		BoundScanUs:   float64(t.BoundScanNanos) / 1e3,
-		BoundScanned:  t.BoundScannedRows,
-		BoundExact:    t.BoundExactRows,
 		FilterBaseUs:  float64(t.FilterBaseNanos) / 1e3,
 		FilterDeltaUs: float64(t.FilterDeltaNanos) / 1e3,
 		MergeUs:       float64(t.MergeNanos) / 1e3,

@@ -236,70 +236,3 @@ func TestDebugSlowEndpoint(t *testing.T) {
 		}
 	}
 }
-
-// TestShadowMetrics quantizes the backing store and asserts the shadow
-// observability block: the width/size gauges and the per-width scan
-// counters appear in both /metrics and /v1/stats, and the per-width rows
-// follow traffic at the active width.
-func TestShadowMetrics(t *testing.T) {
-	st := testStore(t)
-	if err := st.SetQuantization(4); err != nil {
-		t.Fatalf("SetQuantization: %v", err)
-	}
-	srv := New(st, decodeVec, Options{})
-	h := srv.Handler()
-	for i := 0; i < 3; i++ {
-		if rec := do(h, "POST", "/v1/search", `{"query":[3,-3,0],"k":5,"p":20}`); rec.Code != http.StatusOK {
-			t.Fatalf("search %d: %d %s", i, rec.Code, rec.Body)
-		}
-	}
-
-	dims := st.Stats().Dims
-	shadow := 70 * ((dims*4 + 7) / 8) // one packed 4-bit stride per row
-	rec := do(h, "GET", "/metrics", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics: %d", rec.Code)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{
-		"qse_store_shadow_bits 4",
-		fmt.Sprintf("qse_store_shadow_bytes %d", shadow),
-		`qse_store_bound_scanned_rows_by_width_total{bits="4"} 210`,
-		`qse_store_bound_scanned_rows_by_width_total{bits="8"} 0`,
-		`qse_store_bound_prune_rate_by_width{bits="8"} 0`,
-	} {
-		if !strings.Contains(body, want+"\n") {
-			t.Errorf("scrape missing %q, have:\n%s", want, grepLines(body, "qse_store_"))
-		}
-	}
-	if !strings.Contains(body, `qse_store_bound_exact_rows_by_width_total{bits="4"} `) {
-		t.Errorf("scrape missing 4-bit exact-rows series:\n%s", grepLines(body, "by_width"))
-	}
-
-	rec = do(h, "GET", "/v1/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/stats: %d", rec.Code)
-	}
-	var resp statsResponse
-	decodeInto(t, rec, &resp)
-	s := resp.Store
-	if s.ShadowBits != 4 || s.ShadowBytes != int64(shadow) {
-		t.Fatalf("stats shadow block: bits %d bytes %d, want 4 / %d", s.ShadowBits, s.ShadowBytes, shadow)
-	}
-	bw, ok := s.BoundWidths["4"]
-	if !ok {
-		t.Fatalf("stats missing 4-bit width row: %+v", s.BoundWidths)
-	}
-	if bw.ScannedRows != 210 || bw.ExactRows == 0 || bw.ExactRows > bw.ScannedRows {
-		t.Fatalf("4-bit width row %+v, want 210 scanned with 0 < exact <= scanned", bw)
-	}
-	if bw.PruneRate < 0 || bw.PruneRate >= 1 {
-		t.Fatalf("4-bit prune rate %v out of range", bw.PruneRate)
-	}
-	if _, ok := s.BoundWidths["8"]; ok {
-		t.Fatalf("8-bit width row present without traffic: %+v", s.BoundWidths)
-	}
-	if s.BoundScannedRows != bw.ScannedRows || s.BoundExactRows != bw.ExactRows {
-		t.Fatalf("totals diverge from single-width traffic: %+v vs %+v", s, bw)
-	}
-}

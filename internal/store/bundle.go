@@ -381,16 +381,11 @@ type baseSectionBody struct {
 	// Meta holds the base rows' metadata records aligned with Objects
 	// (nil when none carries metadata). Absent in pre-metadata sections.
 	Meta []meta.Map
-	// QuantBits, QuantBounds and Shadow persist the base's scalar-
-	// quantized shadow block (see internal/vafile): the bit width per
-	// dimension, the flat boundary grid, and one code byte per base
-	// value — so reopening never re-sorts the base to rebuild
-	// boundaries. Zero/absent (every pre-quantization section) means
-	// quantization off; a QuantBits with an empty grid is legal and
-	// makes the open rebuild the shadow from the flat block.
-	QuantBits   int
-	QuantBounds []float64
-	Shadow      []uint8
+	// Sections written while the store kept a quantized shadow scan also
+	// carry the shadow's bit width, boundary grid and codes. gob skips
+	// stream fields the destination struct lacks, so such a section opens
+	// exact; the dead bytes go when a save next rewrites the base
+	// (DESIGN.md §13–14).
 }
 
 // writeBaseSection atomically writes a shard base section, returning

@@ -62,15 +62,15 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestQuantizedEquivalence is the same randomized harness with the
-// sharded side running a shadow-block scan against an exact
-// (unquantized) reference, at every packed width: every
-// add/remove/upsert/compact/save/reopen interleaving must keep results
-// bit-identical, which is the executable form of the bound-scan
-// exactness argument in DESIGN.md §13–14. Reopens additionally prove
-// the quantization setting survives the bundle round trip (the shadow
-// is persisted, never silently dropped). Each width gets its own seed
-// offset so the schedules differ across the matrix without multiplying
-// its size.
+// sharded side opened from shadow-era base sections: before the first
+// step both stores are saved, every shard base is rewritten with a
+// quantized shadow of the given width (see shadowEraBase), and both are
+// reopened. The reader skips those fields, so the sharded side must stay
+// bit-identical to the clean reference through every
+// add/remove/upsert/compact/save/reopen interleaving — saves that keep a
+// shadow-era base and only append delta frames included, until a
+// compaction rewrites it. Each width gets its own seed offset so the
+// schedules differ across the matrix without multiplying its size.
 func TestQuantizedEquivalence(t *testing.T) {
 	model, db := fixture(t, 48)
 	base := eqBaseSeed(t)
@@ -92,10 +92,10 @@ func TestQuantizedEquivalence(t *testing.T) {
 var eqPolicy = CompactionPolicy{MinDelta: 8, DeltaFrac: 0.1, MinDead: 8, DeadFrac: 0.2}
 
 // runEquivalence drives the reference and sharded stores through the
-// same randomized schedule. quantBits > 0 turns the shadow-block scan on
-// for the sharded side only — the reference stays exact, so every
-// search comparison doubles as a quantized-vs-exact bit-identity check.
-func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, quantBits int) {
+// same randomized schedule. shadowBits > 0 first moves the sharded side
+// onto shadow-era base sections of that width; the reference stays as
+// the current writer leaves it.
+func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, shadowBits int) {
 	ref, err := New(model, db, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reference store: %v", err)
@@ -106,16 +106,6 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 	}
 	ref.SetCompactionPolicy(eqPolicy)
 	shd.SetCompactionPolicy(eqPolicy)
-	// Enabling quantization is a mutation (the persisted base must gain
-	// its shadow), so it bumps each shard's generation once; genOffset
-	// keeps the stats comparison exact.
-	genOffset := uint64(0)
-	if quantBits > 0 {
-		if err := shd.SetQuantization(quantBits); err != nil {
-			t.Fatalf("quantizing sharded store: %v", err)
-		}
-		genOffset = uint64(shards)
-	}
 
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
@@ -125,6 +115,29 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 	// than only fresh full writes.
 	refPath := filepath.Join(dir, "ref.bundle")
 	shdPath := filepath.Join(dir, "shd.bundle")
+	if shadowBits > 0 {
+		if err := ref.Save(refPath); err != nil {
+			t.Fatalf("ref save: %v", err)
+		}
+		if err := shd.Save(shdPath); err != nil {
+			t.Fatalf("sharded save: %v", err)
+		}
+		bases, err := filepath.Glob(shdPath + ".shard-*.base")
+		if err != nil || len(bases) != shards {
+			t.Fatalf("found %d shard bases (%v), want %d", len(bases), err, shards)
+		}
+		for _, path := range bases {
+			writeShadowEraBase(t, path, shadowBits)
+		}
+		if ref, err = Open(refPath, l1, Gob[[]float64]()); err != nil {
+			t.Fatalf("ref reopen: %v", err)
+		}
+		if shd, err = OpenSharded(shdPath, l1, Gob[[]float64]()); err != nil {
+			t.Fatalf("sharded reopen from shadow-era bases: %v", err)
+		}
+		ref.SetCompactionPolicy(eqPolicy)
+		shd.SetCompactionPolicy(eqPolicy)
+	}
 	live := []uint64{}
 	for i := range db {
 		live = append(live, uint64(i))
@@ -246,12 +259,6 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 				if got := len(shd.shards); got != shards {
 					t.Fatalf("step %d: reopened with %d shards, want %d", step, got, shards)
 				}
-				if qb := shd.Stats().QuantBits; qb != quantBits {
-					t.Fatalf("step %d: reopened store reports QuantBits %d, want %d (shadow not persisted?)", step, qb, quantBits)
-				}
-				// Generation restarts at zero on open for both sides, which
-				// also absorbs the one-time SetQuantization bump.
-				genOffset = 0
 				ref.SetCompactionPolicy(eqPolicy)
 				shd.SetCompactionPolicy(eqPolicy)
 			}
@@ -266,7 +273,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 				}
 			}
 		}
-		assertEquivalent(t, ref, shd, rng, step, genOffset)
+		assertEquivalent(t, ref, shd, rng, step)
 	}
 
 	// Drain to empty through both stores, checking the tail end of the
@@ -279,7 +286,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 			t.Fatalf("drain shd remove(%d): %v", id, err)
 		}
 	}
-	assertEquivalent(t, ref, shd, rng, -1, genOffset)
+	assertEquivalent(t, ref, shd, rng, -1)
 	if n := shd.Size(); n != 0 {
 		t.Fatalf("drained sharded store holds %d objects", n)
 	}
@@ -291,12 +298,12 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 // assertEquivalent is the per-step oracle: searches (single and batch),
 // live-ID sets, First, and stats invariants must all agree between the
 // reference store and the sharded store.
-func assertEquivalent(t *testing.T, ref *Store[[]float64], shd *Sharded[[]float64], rng *rand.Rand, step int, genOffset uint64) {
+func assertEquivalent(t *testing.T, ref *Store[[]float64], shd *Sharded[[]float64], rng *rand.Rand, step int) {
 	t.Helper()
 
 	rst, sst := ref.Stats(), shd.Stats()
-	if rst.Size != sst.Size || rst.Dims != sst.Dims || rst.Generation+genOffset != sst.Generation || rst.NextID != sst.NextID {
-		t.Fatalf("step %d: stats diverge (genOffset %d):\n ref %+v\n shd %+v", step, genOffset, rst, sst)
+	if rst.Size != sst.Size || rst.Dims != sst.Dims || rst.Generation != sst.Generation || rst.NextID != sst.NextID {
+		t.Fatalf("step %d: stats diverge:\n ref %+v\n shd %+v", step, rst, sst)
 	}
 	for name, st := range map[string]Stats{"ref": rst, "sharded": sst} {
 		if st.BaseSize+st.DeltaSize-st.Tombstones != st.Size {

@@ -86,6 +86,14 @@ func FuzzBundleOpen(f *testing.F) {
 
 	fixMan, fixBase, fixDelta := v3Fixture(f)
 	f.Add(fixDelta) // the intact delta log itself, ready for mutation
+	// A base section written while the store kept a quantized shadow: it
+	// carries three fields the reader no longer has and must skip
+	// (DESIGN.md §13–14).
+	shadowBase, err := os.ReadFile(filepath.Join("testdata", "quantfixture", "bits8", "fix.bundle.shard-000-of-001.base"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shadowBase)
 
 	codec := Gob[[]float64]()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -118,28 +126,34 @@ func FuzzBundleOpen(f *testing.F) {
 			}
 		}
 
-		// Attack the delta-log recovery path: an intact v3 manifest and
-		// base section with the fuzzed bytes standing in for the delta
-		// log. Opening must recover to some durable prefix (and serve
-		// from it) or reject loudly — never panic, never loop.
+		// Attack the delta-log recovery path and the base-section decoder:
+		// an intact v3 manifest with the fuzzed bytes standing in first
+		// for the delta log (next to the intact base), then for the base
+		// section (next to the intact log). Opening must recover to some
+		// durable prefix (and serve from it) or reject loudly — never
+		// panic, never loop.
 		path := filepath.Join(tdir, "fix.bundle")
 		bases, deltas := shardSectionFiles(path, 1)
-		for name, content := range map[string][]byte{
-			path:                           fixMan,
-			filepath.Join(tdir, bases[0]):  fixBase,
-			filepath.Join(tdir, deltas[0]): data,
-		} {
-			if err := os.WriteFile(name, content, 0o644); err != nil {
-				t.Fatal(err)
+		for slot, sections := range [][2][]byte{{fixBase, data}, {data, fixDelta}} {
+			for name, content := range map[string][]byte{
+				path:                           fixMan,
+				filepath.Join(tdir, bases[0]):  sections[0],
+				filepath.Join(tdir, deltas[0]): sections[1],
+			} {
+				if err := os.WriteFile(name, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if st, err := Open(path, fuzzDist, codec); err == nil {
-			if st.Size() < 40 {
+			st, err := Open(path, fuzzDist, codec)
+			if err != nil {
+				continue
+			}
+			if slot == 0 && st.Size() < 40 {
 				// The committed base holds 40 objects; recovery may drop
 				// delta rows but can never lose base rows.
 				t.Fatalf("fuzzed delta log shrank the store below its base: %d", st.Size())
 			}
-			exercise(t, 4, st)
+			exercise(t, 4+slot, st)
 		}
 	})
 }

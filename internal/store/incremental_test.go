@@ -218,9 +218,13 @@ func TestRenamedBundleSaveRewritesManifest(t *testing.T) {
 		t.Fatalf("opening the copied bundle: %v", err)
 	}
 	// Two different mutations that each must survive the copy's save: a
-	// quantization change (base rewrite) and a fresh row (delta).
-	if err := c.SetQuantization(4); err != nil {
+	// remove folded in by a compaction (base rewrite) and a fresh row
+	// (delta).
+	if err := c.Remove(5); err != nil {
 		t.Fatal(err)
+	}
+	if !c.Compact() {
+		t.Fatal("Compact found nothing to fold")
 	}
 	id, err := c.Add([]float64{2.5, -0.5, 1.5})
 	if err != nil {
@@ -234,8 +238,14 @@ func TestRenamedBundleSaveRewritesManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening the copied bundle: %v", err)
 	}
-	if got := r.Stats().QuantBits; got != 4 {
-		t.Fatalf("reopened copy has quantize bits %d, want 4 (manifest not rewritten under the new name?)", got)
+	// Only the rewritten base holds 39 rows (40 + 1 added - 2 removed)
+	// and lacks object 5; the copied base still has 40 rows, object 5 among
+	// them.
+	if got, want := r.Stats().BaseSize, c.Stats().BaseSize; got != want || want != 39 {
+		t.Fatalf("reopened copy has a %d-row base, want %d (manifest not rewritten under the new name?)", got, want)
+	}
+	if _, ok := r.Get(5); ok {
+		t.Fatal("object 5, removed and compacted away in the copy, is back after save + reopen")
 	}
 	if _, ok := r.Get(id); !ok {
 		t.Fatalf("object %d added to the copy is gone after save + reopen", id)

@@ -2,22 +2,26 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"qse/internal/fsio"
+	"qse/internal/meta"
 )
 
-// The committed fixtures under testdata/quantfixture were written by the
-// PR-9 bundle writer — before the packed sub-byte layout existed — via a
-// one-off generator since deleted: fixture(t, 40) → New →
-// SetQuantization(bits) → Save → Add{1.5,-1.5,0.25} →
-// Add{99,-99,42} (outside the boundary range: an unsafe delta row) →
-// Remove(3) → Save. bits8/ carries an 8-bit shadow, whose packed and
-// unpacked layouts coincide byte for byte; bits4/ carries the legacy
-// unpacked one-byte-per-dimension 4-bit shadow that the open path must
-// repack. Regenerating them with the current writer would defeat the
-// test — do not.
+// The committed fixtures under testdata/quantfixture are the only
+// on-disk bundles left from the era when the store kept a quantized
+// shadow scan beside the exact one. A one-off generator, since deleted,
+// wrote both by the same recipe: fixture(t, 40) → New → quantize at
+// 4 or 8 bits → Save → Add{1.5,-1.5,0.25} → Add{99,-99,42} → Remove(3)
+// → Save. bits8/ carries an 8-bit shadow and bits4/ the unpacked
+// one-byte-per-dimension 4-bit shadow, in three base-section fields that
+// the reader no longer has (DESIGN.md §13–14). Regenerating them with
+// the current writer would defeat the test — do not.
 
 // copyFixture copies one committed fixture directory into a temp dir so
 // the test can Save over it without touching the repository.
@@ -41,117 +45,175 @@ func copyFixture(t *testing.T, name string) string {
 	return filepath.Join(dst, "fix.bundle")
 }
 
-// assertExactMatch checks that the quantized store answers a spread of
-// queries bit-identically to the same store with quantization disabled.
-func assertExactMatch(t *testing.T, st *Store[[]float64], label string) {
+// answer is one search result with its distance as raw bits, so a
+// comparison cannot hide a last-ulp difference.
+type answer struct{ ID, DistBits uint64 }
+
+// fixtureAnswers opens the bundle at path and records its answers to a
+// fixed query set, both a top-5 and a full ranking of every live row.
+func fixtureAnswers(t *testing.T, path string) [][]answer {
 	t.Helper()
+	st, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
+		t.Fatalf("opening %s: %v", path, err)
+	}
+	if st.Size() != 41 { // 40 base rows + 2 added - 1 removed
+		t.Fatalf("%s: %d live objects, want 41", path, st.Size())
+	}
+	var out [][]answer
 	for qi, q := range queries(6, 99) {
-		got, _, err := st.Search(q, 5, 20)
-		if err != nil {
-			t.Fatalf("%s: query %d: %v", label, qi, err)
-		}
-		want, _, err := st.exactTwin(t).Search(q, 5, 20)
-		if err != nil {
-			t.Fatalf("%s: query %d exact: %v", label, qi, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: query %d diverges from exact:\n  quantized %v\n  exact     %v", label, qi, got, want)
+		for _, kp := range [][2]int{{5, 20}, {41, 41}} {
+			res, _, err := st.Search(q, kp[0], kp[1])
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", path, qi, err)
+			}
+			row := make([]answer, len(res))
+			for i, r := range res {
+				row[i] = answer{r.ID, math.Float64bits(r.Distance)}
+			}
+			out = append(out, row)
 		}
 	}
+	return out
 }
 
-// exactTwin reopens the store's current on-disk form with quantization
-// turned off, so comparisons never share in-memory state.
-func (s *Store[T]) exactTwin(t *testing.T) *Store[T] {
+// reencode returns the gob payload of the base section at path and a
+// re-encoding of what the reader decoded from it. Fields the reader
+// does not know are in the first and not the second.
+func reencode(t *testing.T, path string) (payload, again []byte) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "twin.bundle")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	twin, err := Open[T](path, s.dist, s.codec)
+	_, payload, err := readEnvelope(fsio.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.SetQuantization(0); err != nil {
+	body, err := readBaseSection(fsio.OS(), path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return twin
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	return payload, buf.Bytes()
 }
 
-// TestQuantBundleCompat pins the on-disk compatibility story: PR-9 era
-// bundles — 8-bit shadows and legacy unpacked 4-bit shadows — open
-// unchanged, answer bit-identically to the exact scan, and migrate to
-// the packed layout on the next save. SetQuantization to a different
-// width must force a base rewrite.
+// TestQuantBundleCompat pins the compatibility rule for shadow-era
+// bundles: each fixture opens exact with its 41 live objects, answers
+// bit-identically to the other fixture (the recipe was the same, so the
+// shadow width must not matter), and keeps those answers after Compact
+// + Save + reopen, which writes a base without the shadow fields. The
+// save goes to a fresh name: a compaction alone leaves the contents
+// unchanged, so a save over the old name would rightly skip.
 func TestQuantBundleCompat(t *testing.T) {
-	for name, bits := range map[string]int{"bits4": 4, "bits8": 8} {
+	names := []string{"bits4", "bits8"}
+	want := map[string][][]answer{}
+	for _, name := range names {
+		want[name] = fixtureAnswers(t, copyFixture(t, name))
+	}
+	for _, name := range names {
+		other := "bits4"
+		if name == other {
+			other = "bits8"
+		}
 		t.Run(name, func(t *testing.T) {
+			if !reflect.DeepEqual(want[name], want[other]) {
+				t.Fatalf("%s answers differ from %s's:\n  %v\n  %v", name, other, want[name], want[other])
+			}
 			path := copyFixture(t, name)
 			st, err := Open(path, l1, Gob[[]float64]())
 			if err != nil {
-				t.Fatalf("opening legacy %s bundle: %v", name, err)
+				t.Fatal(err)
 			}
-			stats := st.Stats()
-			if stats.QuantBits != bits {
-				t.Fatalf("reopened width %d, fixture carries %d", stats.QuantBits, bits)
+			// The reader skips at least the shadow's codes: one byte per
+			// dimension of each of the 40 base rows at either width.
+			payload, again := reencode(t, path+".shard-000-of-001.base")
+			if skipped, codes := len(payload)-len(again), 40*st.Dims(); skipped < codes {
+				t.Fatalf("reader skips %d bytes of the fixture base, want at least the %d shadow code bytes", skipped, codes)
 			}
-			// 40 base rows + 2 replayed delta rows, one packed stride each
-			// over the embedded dims — regardless of how the fixture stored
-			// the shadow.
-			stride := (stats.Dims*bits + 7) / 8
-			if want := int64(42 * stride); stats.ShadowBytes != want {
-				t.Fatalf("shadow occupies %d bytes after open, want %d", stats.ShadowBytes, want)
+			if !st.Compact() {
+				t.Fatal("Compact found nothing to fold in a fixture with delta rows and a tombstone")
 			}
-			if stats.Size != 41 { // Remove(3) tombstoned one of the 42
-				t.Fatalf("fixture live size %d, want 41", stats.Size)
-			}
-			assertExactMatch(t, st, name)
-
-			// Saving the migrated store must round-trip: the rewritten
-			// bundle reopens at the same width and keeps exactness.
+			path = filepath.Join(filepath.Dir(path), "resaved.bundle")
 			if err := st.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			re, err := Open(path, l1, Gob[[]float64]())
-			if err != nil {
-				t.Fatalf("reopening migrated bundle: %v", err)
+			// Written by this process, so gob numbers its types as the
+			// re-encoding does: equal bytes mean no field was skipped.
+			if payload, again := reencode(t, path+".shard-000-of-001.base"); !bytes.Equal(payload, again) {
+				t.Fatalf("rewritten base carries %d bytes the reader skips", len(payload)-len(again))
 			}
-			if got := re.Stats(); got.QuantBits != bits || got.ShadowBytes != stats.ShadowBytes {
-				t.Fatalf("migrated bundle reopened as width %d / %d shadow bytes, want %d / %d",
-					got.QuantBits, got.ShadowBytes, bits, stats.ShadowBytes)
+			if got := fixtureAnswers(t, path); !reflect.DeepEqual(got, want[other]) {
+				t.Fatalf("answers after Compact+Save+reopen differ from %s's:\n  %v\n  %v", other, got, want[other])
 			}
-			assertExactMatch(t, re, name+"/resaved")
-
-			// A width change is a real mutation: the next save must rewrite
-			// the base section with the new shadow, and the reopened store
-			// must carry the new width.
-			newBits := 12 - bits // 4 <-> 8
-			base := path + ".shard-000-of-001.base"
-			before, err := os.ReadFile(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := re.SetQuantization(newBits); err != nil {
-				t.Fatal(err)
-			}
-			if err := re.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			after, err := os.ReadFile(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(before, after) {
-				t.Fatalf("base section unchanged after SetQuantization(%d)+Save", newBits)
-			}
-			sw, err := Open(path, l1, Gob[[]float64]())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sw.Stats().QuantBits; got != newBits {
-				t.Fatalf("width after switch save %d, want %d", got, newBits)
-			}
-			assertExactMatch(t, sw, name+"/switched")
 		})
+	}
+}
+
+// shadowEraBase is a base section as the shadow-era writer laid it out:
+// today's fields, then the shadow's bit width per dimension, its
+// per-dimension boundary grid, and the base rows' codes packed at that
+// width. gob matches fields by name, so writing one through the current
+// envelope yields a section of the kind the committed fixtures hold, at
+// any width and shard count.
+type shadowEraBase struct {
+	Tag         uint64
+	Dims        int
+	NextID      uint64
+	Objects     [][]byte
+	Flat        []float64
+	IDs         []uint64
+	Meta        []meta.Map
+	QuantBits   int
+	QuantBounds []float64
+	Shadow      []uint8
+}
+
+// writeShadowEraBase rewrites the base section at path as the
+// shadow-era writer would have written it with a bits-wide shadow:
+// an equal-width grid of 2^bits cells over each dimension's range, and
+// each row's cell codes packed low bits first, ceil(dims*bits/8) bytes
+// a row. It checks that the reader skips at least the code bytes.
+func writeShadowEraBase(t *testing.T, path string, bits int) {
+	t.Helper()
+	b, err := readBaseSection(fsio.OS(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, d, cells := len(b.IDs), b.Dims, 1<<bits
+	lo, hi := make([]float64, d), make([]float64, d)
+	for j := range lo {
+		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+	}
+	for i, v := range b.Flat {
+		lo[i%d], hi[i%d] = math.Min(lo[i%d], v), math.Max(hi[i%d], v)
+	}
+	var grid []float64
+	if rows > 0 {
+		for j := 0; j < d; j++ {
+			for c := 0; c <= cells; c++ {
+				grid = append(grid, lo[j]+(hi[j]-lo[j])*float64(c)/float64(cells))
+			}
+		}
+	}
+	stride := (d*bits + 7) / 8
+	shadow := make([]uint8, rows*stride)
+	for r := 0; r < rows; r++ {
+		for j := 0; j < d; j++ {
+			code := 0
+			if w := hi[j] - lo[j]; w > 0 {
+				code = min(int((b.Flat[r*d+j]-lo[j])/w*float64(cells)), cells-1)
+			}
+			bit := j * bits
+			shadow[r*stride+bit/8] |= uint8(code) << (bit % 8)
+		}
+	}
+	if _, err := writeEnvelope(fsio.OS(), path, baseSectionVersion, &shadowEraBase{
+		Tag: b.Tag, Dims: b.Dims, NextID: b.NextID, Objects: b.Objects, Flat: b.Flat, IDs: b.IDs, Meta: b.Meta,
+		QuantBits: bits, QuantBounds: grid, Shadow: shadow,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if payload, again := reencode(t, path); len(payload)-len(again) < len(shadow) {
+		t.Fatalf("%s: reader skips %d bytes, want at least the %d shadow code bytes", path, len(payload)-len(again), len(shadow))
 	}
 }

@@ -212,16 +212,13 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 		}
 		flat, dims := base.Flat()
 		baseBytes, err := writeBaseSection(s.fs(), basePath, &baseSectionBody{
-			Tag:         snap.baseVer,
-			Dims:        dims,
-			NextID:      nextID,
-			Objects:     encoded,
-			Flat:        flat,
-			IDs:         snap.baseIDs,
-			Meta:        snap.seg.BaseMetaRows(),
-			QuantBits:   snap.seg.QuantBits(),
-			QuantBounds: snap.seg.QuantBounds(),
-			Shadow:      snap.seg.BaseShadow(),
+			Tag:     snap.baseVer,
+			Dims:    dims,
+			NextID:  nextID,
+			Objects: encoded,
+			Flat:    flat,
+			IDs:     snap.baseIDs,
+			Meta:    snap.seg.BaseMetaRows(),
 		})
 		if err != nil {
 			return 0, err
@@ -489,15 +486,6 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	seg, err := retrieval.NewSegmentedFromParts(baseIx, deltaObjs, deltaFlat, baseDead, deltaDead, b.Meta, deltaMeta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
-	}
-
-	// Restore the quantized shadow saved with the base; sections from
-	// before quantization carry zero values and open with it off.
-	if b.QuantBits > 0 {
-		seg, err = seg.QuantizeFromParts(b.QuantBits, b.QuantBounds, b.Shadow)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
-		}
 	}
 
 	// Live IDs must be unique (an ID may legitimately recur dead→live

@@ -82,33 +82,6 @@ type Stats struct {
 	LastSnapshotError   string
 	LastSnapshotOKUnix  int64
 	DegradedPersistence bool
-	// QuantBits is the configured shadow-block quantization width in
-	// bits per dimension (0 = quantization off, see SetQuantization).
-	// BoundScannedRows counts rows whose quantized bounds the filter
-	// scan examined; BoundExactRows the subset the bounds could not
-	// exclude, which the scan then evaluated against the exact float64
-	// block — their ratio is the measured prune rate. Both accumulate
-	// over the store's lifetime. In an aggregate Stats the counters are
-	// summed and QuantBits is the shards' common setting.
-	QuantBits        int
-	BoundScannedRows uint64
-	BoundExactRows   uint64
-	// ShadowBytes is the resident size of the packed shadow block (base
-	// plus delta), 0 when quantization is off or dormant. BoundWidths
-	// breaks the two counters above down by the quantization width that
-	// was active when each query ran, indexed by bits per dimension —
-	// only the packed widths 1, 2, 4, and 8 are ever populated, so a
-	// width change mid-lifetime stays attributable.
-	ShadowBytes int64
-	BoundWidths [9]BoundWidth
-}
-
-// BoundWidth is one quantization width's slice of the shadow-scan
-// counters (see Stats.BoundWidths): rows the bound scan examined at
-// that width and the subset it had to evaluate exactly.
-type BoundWidth struct {
-	ScannedRows uint64
-	ExactRows   uint64
 }
 
 // CompactionPolicy decides when the mutation path folds the delta segment
@@ -369,19 +342,6 @@ type Store[T any] struct {
 	lastCompactNanos atomic.Int64
 	lastSnapNanos    atomic.Int64
 	lastSnapBytes    atomic.Int64
-	// boundRows/boundExact accumulate the shadow-scan counters behind
-	// Stats.BoundScannedRows/BoundExactRows. When this store serves as a
-	// shard of a Sharded front, the front's own pair accounts the
-	// scatter-gather queries instead (the scatter shares one clock across
-	// shards, so per-shard attribution does not exist).
-	boundRows  atomic.Uint64
-	boundExact atomic.Uint64
-	// boundRowsW/boundExactW are the same counters broken down by the
-	// quantization width active when the query ran (index = bits per
-	// dimension; only the packed widths 1, 2, 4, 8 are ever touched).
-	boundRowsW  [9]atomic.Uint64
-	boundExactW [9]atomic.Uint64
-
 	// saveMu serializes saves (mutations and searches are never blocked:
 	// they use mu and no lock respectively) and guards the incremental
 	// bookkeeping below: which base/delta section files describe this
@@ -688,7 +648,6 @@ func (s *Store[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]Result
 		return nil, retrieval.Stats{}, err
 	}
 	s.noteScan(snap)
-	s.noteBound(st.Timing, snap.seg.QuantBits())
 	return res, st, nil
 }
 
@@ -721,7 +680,6 @@ func (s *Store[T]) SearchBatchFiltered(queries []T, k, p int, pred *meta.Predica
 			return nil, nil, fmt.Errorf("query %d: %w", i, err)
 		}
 		s.noteScan(snap)
-		s.noteBound(stats[i].Timing, snap.seg.QuantBits())
 	}
 	return results, stats, nil
 }
@@ -749,25 +707,6 @@ func (s *Store[T]) noteScan(sn *snapshot[T]) {
 // rows of it wasted on delta/tombstones) since the last compaction.
 func (s *Store[T]) scanCounters() (rows, waste uint64) {
 	return s.scanRows.Load(), s.scanWaste.Load()
-}
-
-// noteBound accounts one query's shadow-scan counters toward the
-// store's lifetime prune-rate statistics, attributed to the
-// quantization width the query ran at. Zero counters (quantization
-// off) add nothing.
-func (s *Store[T]) noteBound(t retrieval.Timing, bits int) {
-	if t.BoundScannedRows > 0 {
-		s.boundRows.Add(uint64(t.BoundScannedRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundRowsW[bits].Add(uint64(t.BoundScannedRows))
-		}
-	}
-	if t.BoundExactRows > 0 {
-		s.boundExact.Add(uint64(t.BoundExactRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundExactW[bits].Add(uint64(t.BoundExactRows))
-		}
-	}
 }
 
 // cand is one surviving filter-phase candidate of a scatter-gather
@@ -1192,46 +1131,6 @@ func (s *Store[T]) Remove(id uint64) error {
 	return nil
 }
 
-// SetQuantization sets the shadow-block quantization width to bits per
-// dimension (1, 2, 4, or 8 — the widths that tile bytes exactly, see
-// the packed layout in DESIGN.md §14) or disables it (0). Quantization
-// is a pure scan
-// accelerator — results stay bit-identical to the exact scan — so the
-// generation is unchanged; the base tag is refreshed so the next save
-// rewrites the base section with (or without) the shadow block.
-// Turning it on builds boundaries and encodes the current segments —
-// O(n·dims) once; every later mutation maintains the shadow
-// incrementally, and compaction re-quantizes the fresh base under the
-// same width. On an empty store the width is recorded and the shadow
-// materializes at the first compaction that yields a non-empty base.
-func (s *Store[T]) SetQuantization(bits int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.cur.Load()
-	if old.seg.QuantBits() == bits {
-		return nil
-	}
-	var seg *retrieval.Segmented[T]
-	if bits == 0 {
-		seg = old.seg.Dequantize()
-	} else {
-		var err error
-		seg, err = old.seg.Quantize(bits)
-		if err != nil {
-			return err
-		}
-	}
-	// A quantization change is a real mutation: the base section on disk
-	// no longer carries the right shadow. Bumping gen makes the next
-	// save run, and the fresh base tag turns it into a full rewrite.
-	n := *old
-	n.seg = seg
-	n.gen = old.gen + 1
-	n.baseVer = newBaseTag()
-	s.cur.Store(&n)
-	return nil
-}
-
 // SetCompactionPolicy replaces the thresholds that drive automatic
 // compaction on the mutation path. It does not trigger a compaction by
 // itself; the next mutation applies the new policy.
@@ -1290,17 +1189,7 @@ func (s *Store[T]) runCompaction(sn *snapshot[T]) *snapshot[T] {
 // section no longer matches.
 func compactSnapshot[T any](sn *snapshot[T]) *snapshot[T] {
 	ix, ids, blk := sn.compacted()
-	out := newBaseSnapshot(ix, ids, sn.gen, newBaseTag(), blk)
-	if bits := sn.seg.QuantBits(); bits > 0 {
-		// Carry the quantization width across the fold: fresh boundaries
-		// over the fresh base, so the shadow stays tight as the data
-		// drifts. A base that cannot be quantized (possible only with
-		// non-finite vectors) falls back to the exact scan.
-		if seg, err := out.seg.Quantize(bits); err == nil {
-			out.seg = seg
-		}
-	}
-	return out
+	return newBaseSnapshot(ix, ids, sn.gen, newBaseTag(), blk)
 }
 
 // Size returns the number of live stored objects.
@@ -1336,16 +1225,6 @@ func (s *Store[T]) Stats() Stats {
 		LastSnapshotNanos:   s.lastSnapNanos.Load(),
 		LastSnapshotBytes:   s.lastSnapBytes.Load(),
 		DeltaScanShare:      share,
-		QuantBits:           snap.seg.QuantBits(),
-		BoundScannedRows:    s.boundRows.Load(),
-		BoundExactRows:      s.boundExact.Load(),
-		ShadowBytes:         int64(snap.seg.ShadowBytes()),
-	}
-	for bits := range st.BoundWidths {
-		st.BoundWidths[bits] = BoundWidth{
-			ScannedRows: s.boundRowsW[bits].Load(),
-			ExactRows:   s.boundExactW[bits].Load(),
-		}
 	}
 	s.health.fill(&st)
 	return st

@@ -16,9 +16,9 @@
 #    "benchmarks": [{"name": "BenchmarkSearch", "iterations": 20,
 #                    "ns_per_op": 1382941.0}, ...]}
 # Benchmarks that report extra metrics via b.ReportMetric (e.g. the
-# quantized filter scan's exactFrac pruned-rows report) carry them in an
-# additional "metrics" object: {"name": ..., "ns_per_op": ...,
-# "metrics": {"exactFrac": 0.018, "vs-exact-ratio": 0.9, ...}}.
+# ablations' exact-distance cost/query) carry them in an additional
+# "metrics" object: {"name": ..., "ns_per_op": ...,
+# "metrics": {"cost/query": 212.5, ...}}.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,8 +45,7 @@ awk -v sha="$sha" -v unix="$(date +%s)" -v gover="$goversion" -v benchtime="$ben
     iters = $2
     ns = $3
     # Everything past ns/op comes in (value, unit) pairs from
-    # b.ReportMetric — the quantized scan reports its pruned-rows stats
-    # (exactFrac, exactRows/query, vs-exact-ratio) this way.
+    # b.ReportMetric (e.g. cost/query).
     extra = ""
     for (i = 5; i + 1 <= NF; i += 2) {
       extra = extra sprintf("%s\"%s\": %s", (extra == "" ? "" : ", "), $(i + 1), $i)

@@ -292,95 +292,6 @@ wait "$pid"
 pid=""
 expect "store ready: 120 objects" "$workdir/qse-serve" -bundle "$sbundle" -build-only
 
-# ---- quantized shadow: 4-bit scan answers byte-identically and persists ----
-
-qaddr=127.0.0.1:18096
-qbundle="$workdir/qse-quant.bundle"
-
-echo "== a width that does not tile bytes is rejected up front"
-if "$workdir/qse-serve" -bundle "$bundle" -quantize-bits 3 -build-only \
-    2> "$workdir/qbits.err"; then
-  echo "FAIL: -quantize-bits 3 was accepted" >&2
-  exit 1
-fi
-grep -q 'supported widths' "$workdir/qbits.err"
-
-echo "== copying the unsharded bundle for the quantized phase"
-for f in "$bundle" "$bundle".shard-*; do
-  cp "$f" "$workdir/$(basename "$f" | sed 's/^qse\.bundle/qse-quant.bundle/')"
-done
-
-qbody1='{"id":0,"k":5,"p":40}'
-qbody2='{"query":[[0.1,0.2],[0.3,0.4],[0.5,0.6]],"k":4,"p":60}'
-
-echo "== exact baseline answers (no quantization)"
-"$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" -quantize-bits 0 &
-pid=$!
-for i in $(seq 1 100); do
-  curl -fsS "http://$qaddr/healthz" >/dev/null 2>&1 && break
-  sleep 0.1
-done
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody1" > "$workdir/quant.exact1"
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody2" > "$workdir/quant.exact2"
-kill -TERM "$pid"
-wait "$pid"
-pid=""
-
-echo "== serving with -quantize-bits 4: half-byte cells, same answers"
-"$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" -quantize-bits 4 &
-pid=$!
-for i in $(seq 1 100); do
-  curl -fsS "http://$qaddr/healthz" >/dev/null 2>&1 && break
-  sleep 0.1
-done
-expect '"quantize_bits":4' curl -fsS "http://$qaddr/v1/stats"
-expect '"shadow_bits":4' curl -fsS "http://$qaddr/v1/stats"
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody1" > "$workdir/quant.q1"
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody2" > "$workdir/quant.q2"
-for n in 1 2; do
-  if ! cmp -s "$workdir/quant.exact$n" "$workdir/quant.q$n"; then
-    echo "FAIL: 4-bit search response $n differs from the exact scan:" >&2
-    diff "$workdir/quant.exact$n" "$workdir/quant.q$n" >&2 || true
-    exit 1
-  fi
-done
-echo "   4-bit responses byte-identical to the exact scan"
-
-echo "== per-width scan counters surface in /v1/stats and /metrics"
-expect '"bound_widths"' curl -fsS "http://$qaddr/v1/stats"
-expect '"scanned_rows"' curl -fsS "http://$qaddr/v1/stats"
-expect 'qse_store_shadow_bits 4' curl -fsS "http://$qaddr/metrics"
-expect 'qse_store_shadow_bytes' curl -fsS "http://$qaddr/metrics"
-expect 'qse_store_bound_scanned_rows_by_width_total{bits="4"}' \
-  curl -fsS "http://$qaddr/metrics"
-
-echo "== graceful shutdown snapshots the packed shadow"
-kill -TERM "$pid"
-wait "$pid"
-pid=""
-
-echo "== reopening without the flag keeps the 4-bit width and the answers"
-"$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" &
-pid=$!
-for i in $(seq 1 100); do
-  curl -fsS "http://$qaddr/healthz" >/dev/null 2>&1 && break
-  sleep 0.1
-done
-expect '"shadow_bits":4' curl -fsS "http://$qaddr/v1/stats"
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody1" > "$workdir/quant.r1"
-curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody2" > "$workdir/quant.r2"
-for n in 1 2; do
-  if ! cmp -s "$workdir/quant.exact$n" "$workdir/quant.r$n"; then
-    echo "FAIL: reopened 4-bit response $n differs from the exact scan:" >&2
-    diff "$workdir/quant.exact$n" "$workdir/quant.r$n" >&2 || true
-    exit 1
-  fi
-done
-echo "   width persisted across snapshot + reopen, answers unchanged"
-kill -TERM "$pid"
-wait "$pid"
-pid=""
-
 # ---- resilience: readiness, load shedding, degraded persistence, exit codes ----
 
 raddr=127.0.0.1:18094
